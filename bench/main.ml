@@ -1145,20 +1145,93 @@ per window (%s)"
   Report.add_section "e13_series" series_json;
   (* Timestamped artifact so the perf trajectory accumulates comparable
      runs (the bench_report.json section is overwritten each time). *)
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+    Report.write_bench ~experiment:"e13"
+      [ ("fault_seed", string_of_int !fault_seed);
+        ("profile", Bess_obs.Registry.json_string profile);
+        ("clients", string_of_int n_clients); ("rounds", string_of_int rounds);
+        ("acked", string_of_int !acked_n); ("violations", string_of_int !violations);
+        ("series", series_json) ]
   in
-  let oc = open_out "BENCH_e13.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e13\",\"wall_time\":%s,\"fault_seed\":%d,\"profile\":%s,\"clients\":%d,\"rounds\":%d,\"acked\":%d,\"violations\":%d,\"series\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    !fault_seed
-    (Bess_obs.Registry.json_string profile)
-    n_clients rounds !acked_n !violations series_json;
-  close_out oc;
   Report.note "series written to BENCH_e13.json (%s) and bench_report.json#e13_series" stamp
+
+(* ---- Shared closed-loop sweep point (E14, E15, E18) ------------------------ *)
+
+(* The E14/E15 sweep: populations 10^2 -> 10^5 over one working set,
+   zipf(0.8) with a 5% hot-8 set and 0.2% session churn. *)
+let sweep_clients = if quick then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ]
+let sweep_pages = 2048
+let sweep_attempts = scale 40_000
+
+let sweep_cfg ~seed n_clients =
+  { Bess_sched.Driver.default with
+    n_clients;
+    txns_per_client = Stdlib.max 1 (sweep_attempts / n_clients);
+    zipf_theta = 0.8;
+    hot_fraction = 0.05;
+    hot_pages = 8;
+    churn = 0.002;
+    seed;
+  }
+
+type 'a point = {
+  server : Bess.Server.t;
+  sched : Bess_sched.Sched.t;
+  result : Bess_sched.Driver.result;
+  wall : float; (* real seconds spent in the driver run *)
+  leaked : int; (* lock-table entries left once every client is done *)
+  obs : 'a; (* what the experiment's instruments measured *)
+}
+
+(* One closed-loop point: a fresh db with group:16 commit and the
+   [sweep_pages] working set, [`Timeout] detection (the graph detector
+   is O(table) per blocked request), the fault profile armed if given,
+   and a fresh scheduler — created before any instrument, so the
+   registry's sched.* stats already name this run's instance when a
+   series takes its baseline. [observe server] installs the
+   experiment's instruments and returns the closure that removes them
+   after the timed run and yields their measurements. *)
+let closed_loop ?(cache_slots = 2 * sweep_pages) ?db_id ?(fault_sites = []) ~observe cfg =
+  let db =
+    Workloads.fresh_db ~cache_slots ~group_commit:(Bess_wal.Group_commit.Group_n 16) ?db_id
+      ()
+  in
+  let server = Bess.Db.server db in
+  Bess.Server.set_detection server `Timeout;
+  let pages = Workloads.driver_pages db ~n_pages:sweep_pages in
+  let armed = match fault_sites with [] -> false | _ -> true in
+  if armed then begin
+    Fault.seed !fault_seed;
+    Fault.apply_profile fault_sites
+  end;
+  let sched = Bess_sched.Sched.create () in
+  let finish = observe server in
+  let wall0 = Unix.gettimeofday () in
+  let result = Bess_sched.Driver.run ~sched server ~pages cfg in
+  let wall = Unix.gettimeofday () -. wall0 in
+  let obs = finish () in
+  if armed then Fault.reset ();
+  { server; sched; result; wall; obs;
+    leaked = Bess_lock.Lock_mgr.n_locks (Bess.Server.locks server) }
+
+(* Counter fingerprint over a point's own fresh substrate instances —
+   sched and server stats plus [extra]: bit-identical across same-seed
+   runs if and only if the simulation is deterministic. *)
+let fingerprint p extra =
+  Fmt.str "%a|%a|%a" Stats.pp
+    (Bess_sched.Sched.stats p.sched)
+    Stats.pp (Bess.Server.stats p.server) Stats.pp extra
+
+(* A fresh 10ms-window series installed for one point; the returned
+   closure flushes it and reinstates whatever was installed before. *)
+let point_series () =
+  let prev = Bess_obs.Series.installed () in
+  let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:10_000_000 () in
+  Bess_obs.Series.install (Some series);
+  ( series,
+    fun () ->
+      Bess_obs.Series.flush series;
+      Bess_obs.Series.install prev )
 
 (* ---- E14: closed-loop client-count sweep ----------------------------------- *)
 
@@ -1167,86 +1240,46 @@ per window (%s)"
    Bess_sched event heap — every client thinks, X-locks a Zipf-picked
    page (with a hot set), commits through the group-commit barrier and
    waits for its durability ack, with a little session churn mixed in.
-   Three artifacts per run: the summary table below, per-window
-   throughput/latency series (bench_report.json#e14_series and a
-   timestamped BENCH_e14.json), and a same-seed determinism check — the
-   run is re-executed at 10^3 clients and the per-substrate counter
-   snapshots must match bit for bit. A final 10^3-client run under the
-   flaky-disk fault profile checks chaos-under-load invariants (no lock
-   leaks, no stuck transactions). *)
+   Artifacts: the summary table below and per-window throughput/latency
+   series (bench_report.json#e14_series and a timestamped
+   BENCH_e14.json). Gates: every blocked lock request is resumed by its
+   wake-on-release handoff, so guard-timer retries never exceed parks
+   at any population; no population leaks a lock; a 10^3-client re-run
+   from the same seed reproduces the per-substrate counter snapshots
+   bit for bit; and a 10^3-client run under the flaky-disk fault
+   profile (commits may be lost, nothing may stick) leaks no lock. *)
 let e14 () =
-  let sweep = if quick then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
-  let n_pages = 2048 in
-  let total_attempts = scale 40_000 in
   let seed = 1404 in
-  (* One sweep point: fresh db + working set, its own windowed series,
-     timeout deadlock detection (the graph detector is O(table) per
-     blocked request). Returns the driver result plus a counter
-     fingerprint: the printed sched/server/lock stats of the run's own
-     fresh substrate instances — bit-identical across same-seed runs if
-     and only if the simulation is deterministic. *)
-  let run_point ?(fault_sites = []) ~seed n_clients =
-    let prev_series = Bess_obs.Series.installed () in
-    let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:10_000_000 () in
-    let db =
-      Workloads.fresh_db ~cache_slots:(2 * n_pages)
-        ~group_commit:(Bess_wal.Group_commit.Group_n 16) ()
-    in
-    let server = Bess.Db.server db in
-    Bess.Server.set_detection server `Timeout;
-    let pages = Workloads.driver_pages db ~n_pages in
-    (match fault_sites with
-    | [] -> ()
-    | sites ->
-        Fault.seed !fault_seed;
-        Fault.apply_profile sites);
-    (* Create the scheduler (rebinding the registry's sched.* stats to a
-       fresh zeroed instance) before installing the series, so the first
-       window's baseline snapshot sees the new instance, not the previous
-       point's counts. *)
-    let sched = Bess_sched.Sched.create () in
-    Bess_obs.Series.install (Some series);
-    let cfg =
-      { Bess_sched.Driver.default with
-        n_clients;
-        txns_per_client = Stdlib.max 1 (total_attempts / n_clients);
-        zipf_theta = 0.8;
-        hot_fraction = 0.05;
-        hot_pages = 8;
-        churn = 0.002;
-        seed;
-      }
-    in
-    let fires0 = Stats.get (Fault.stats ()) "fault.fires" in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_sched.Driver.run ~sched server ~pages cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    let fires = Stats.get (Fault.stats ()) "fault.fires" - fires0 in
-    Bess_obs.Series.flush series;
-    Bess_obs.Series.install prev_series;
-    (match fault_sites with [] -> () | _ -> Fault.reset ());
-    let leaked = Bess_lock.Lock_mgr.n_locks (Bess.Server.locks server) in
-    let fingerprint =
-      Fmt.str "%a|%a|%a" Stats.pp
-        (Bess_sched.Sched.stats sched)
-        Stats.pp (Bess.Server.stats server) Stats.pp
-        (Bess_lock.Lock_mgr.stats (Bess.Server.locks server))
-    in
-    (r, series, wall, leaked, fires, fingerprint)
+  let run_point ?fault_sites n_clients =
+    closed_loop ?fault_sites (sweep_cfg ~seed n_clients) ~observe:(fun _ ->
+        let series, restore = point_series () in
+        let fires0 = Stats.get (Fault.stats ()) "fault.fires" in
+        fun () ->
+          let fires = Stats.get (Fault.stats ()) "fault.fires" - fires0 in
+          restore ();
+          (series, fires))
   in
-  let rows = ref [] in
-  let series_sections = ref [] in
-  let fp_1000 = ref "" in
+  let lock_fp p = fingerprint p (Bess_lock.Lock_mgr.stats (Bess.Server.locks p.server)) in
+  let digest fp = Digest.to_hex (Digest.string fp) in
+  let rows = ref [] and series_sections = ref [] in
+  let fp_1000 = ref "" and leaks = ref [] and convoys = ref [] in
   List.iter
     (fun n_clients ->
-      let r, series, wall, leaked, _, fp = run_point ~seed n_clients in
-      if n_clients = 1_000 then fp_1000 := fp;
-      if leaked <> 0 then
-        Report.note "e14: LOCK LEAK at %d clients: %d entries left in the table" n_clients
-          leaked;
+      let p = run_point n_clients in
+      let r = p.result and series, _ = p.obs in
+      let st = Bess_sched.Sched.stats p.sched in
+      let parks = Stats.get st "sched.lock_parks" in
+      let retries = Stats.get st "sched.lock_retries" in
+      if n_clients = 1_000 then fp_1000 := lock_fp p;
+      if p.leaked <> 0 then
+        leaks := Printf.sprintf "%d entries at %d clients" p.leaked n_clients :: !leaks;
+      if retries > parks then
+        convoys :=
+          Printf.sprintf "%d retries vs %d parks at %d clients" retries parks n_clients
+          :: !convoys;
       let open Bess_sched.Driver in
       series_sections :=
-        (Printf.sprintf "\"clients_%d\":%s" n_clients (Bess_obs.Series.json_of series))
+        Printf.sprintf "\"clients_%d\":%s" n_clients (Bess_obs.Series.json_of series)
         :: !series_sections;
       rows :=
         [
@@ -1260,52 +1293,50 @@ let e14 () =
           Printf.sprintf "%.0f/s" (throughput r);
           Report.ns (float_of_int r.r_commit_p50_ns);
           Report.ns (float_of_int r.r_commit_p99_ns);
-          Printf.sprintf "%.0f ms" (wall *. 1e3);
+          Report.count parks;
+          Report.count retries;
+          Printf.sprintf "%.0f ms" (p.wall *. 1e3);
         ]
         :: !rows)
-    sweep;
+    sweep_clients;
   Report.table ~id:"E14"
     ~caption:
       (Printf.sprintf
          "closed-loop client sweep on the event scheduler: ~%d txn attempts spread over \
           each population, zipf(0.8) over %d pages + 5%% hot-8, group:16, 0.2%% churn"
-         total_attempts n_pages)
+         sweep_attempts sweep_pages)
     ~header:
       [ "clients"; "commits"; "aborts"; "indet"; "churns"; "events"; "sim time";
-        "throughput"; "commit p50"; "commit p99"; "wall" ]
+        "throughput"; "commit p50"; "commit p99"; "parks"; "retries"; "wall" ]
     (List.rev !rows);
+  Report.gate "e14: lock-wait guard retries <= parks at every population" (!convoys = [])
+    (String.concat "; " (List.rev !convoys));
+  Report.gate "e14: zero leaked locks at every population" (!leaks = [])
+    (String.concat "; " (List.rev !leaks));
   (* Same seed, same config, fresh substrates: the counter snapshots must
      be bit-identical or the scheduler has a nondeterminism bug. *)
-  let _, _, _, _, _, fp2 = run_point ~seed 1_000 in
+  let fp2 = lock_fp (run_point 1_000) in
   let deterministic = String.equal !fp_1000 fp2 in
-  Report.note "e14: same-seed determinism at 1000 clients: %s"
-    (if deterministic then "OK (counter snapshots identical)"
-     else "FAILED (counter snapshots differ)");
+  Report.gate "e14: same-seed determinism at 1000 clients" deterministic
+    (Printf.sprintf "counter fingerprint %s%s" (digest !fp_1000)
+       (if deterministic then "" else " vs " ^ digest fp2));
   (* Chaos under load: the fault plane armed while 1000 clients run.
      Outcomes may be lost (indeterminate) but nothing may leak. *)
-  let rc, _, _, leaked_c, fires_c, _ =
-    run_point ~fault_sites:(List.assoc "flaky-disk" Fault.profiles) ~seed 1_000
-  in
-  Report.note
-    "e14: chaos under load (flaky-disk, seed %d): %d commits, %d indeterminate, %d fault \
-     fires, %d leaked locks"
-    !fault_seed rc.Bess_sched.Driver.r_commits rc.Bess_sched.Driver.r_indeterminate fires_c
-    leaked_c;
+  let chaos = run_point ~fault_sites:(List.assoc "flaky-disk" Fault.profiles) 1_000 in
+  Report.gate
+    (Printf.sprintf "e14: chaos under load (flaky-disk, seed %d) leaks no lock" !fault_seed)
+    (chaos.leaked = 0)
+    (Printf.sprintf "%d commits, %d indeterminate, %d fault fires, %d leaked locks"
+       chaos.result.Bess_sched.Driver.r_commits chaos.result.Bess_sched.Driver.r_indeterminate
+       (snd chaos.obs) chaos.leaked);
   let series_json = "{" ^ String.concat "," (List.rev !series_sections) ^ "}" in
   Report.add_section "e14_series" series_json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+    Report.write_bench ~experiment:"e14"
+      [ ("seed", string_of_int seed); ("clients", Report.json_ints sweep_clients);
+        ("deterministic", string_of_bool deterministic);
+        ("chaos_leaked_locks", string_of_int chaos.leaked); ("series", series_json) ]
   in
-  let oc = open_out "BENCH_e14.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e14\",\"wall_time\":%s,\"seed\":%d,\"clients\":%s,\"deterministic\":%b,\"chaos_leaked_locks\":%d,\"series\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed
-    ("[" ^ String.concat "," (List.map string_of_int sweep) ^ "]")
-    deterministic leaked_c series_json;
-  close_out oc;
   Report.note "series written to BENCH_e14.json (%s) and bench_report.json#e14_series" stamp
 
 (* Tail-latency attribution: the e14 client sweep re-run with span
@@ -1320,9 +1351,6 @@ let e14 () =
    Artifacts: bench_report.json#e15 and a timestamped BENCH_e15.json
    with per-client-count phase fractions. *)
 let e15 () =
-  let sweep = if quick then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
-  let n_pages = 2048 in
-  let total_attempts = scale 40_000 in
   let seed = 1505 in
   let budget_ns = 20_000_000 in
   let rule s =
@@ -1330,58 +1358,33 @@ let e15 () =
     | Ok r -> r
     | Error e -> failwith ("e15 rule: " ^ e)
   in
-  (* One sweep point, instrumented: fresh db + working set, a private
-     span collector feeding the critical-path sink, a windowed series
-     carrying per-window tails, and the SLO watcher on the series
-     window hook. Returns the driver result plus everything the
-     attribution plane measured. *)
-  let run_point ~seed n_clients =
-    let prev_series = Bess_obs.Series.installed () in
-    let db =
-      Workloads.fresh_db ~cache_slots:(2 * n_pages)
-        ~group_commit:(Bess_wal.Group_commit.Group_n 16) ()
-    in
-    let server = Bess.Db.server db in
-    Bess.Server.set_detection server `Timeout;
-    let pages = Workloads.driver_pages db ~n_pages in
-    let sched = Bess_sched.Sched.create () in
-    let coll = Bess_obs.Span.create () in
-    let cp = Bess_obs.Critpath.create ~top_k:8 () in
-    let slo =
-      Bess_obs.Slo.create
-        ~rules:
-          [
-            rule (Printf.sprintf "commit_p99: critpath.commit_ns.p99 < %d" budget_ns);
-            rule "no_unclosed: critpath.unclosed_roots = 0";
-            rule "no_orphans: critpath.orphan_spans = 0";
-          ]
-        ()
-    in
-    let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:10_000_000 () in
-    Bess_obs.Span.install (Some coll);
-    Bess_obs.Critpath.install (Some cp);
-    Bess_obs.Series.install (Some series);
-    Bess_obs.Slo.watch slo series;
-    let cfg =
-      { Bess_sched.Driver.default with
-        n_clients;
-        txns_per_client = Stdlib.max 1 (total_attempts / n_clients);
-        zipf_theta = 0.8;
-        hot_fraction = 0.05;
-        hot_pages = 8;
-        churn = 0.002;
-        seed;
-      }
-    in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_sched.Driver.run ~sched server ~pages cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    Bess_obs.Series.flush series;
-    Bess_obs.Slo.unwatch series;
-    Bess_obs.Series.install prev_series;
-    Bess_obs.Critpath.install None;
-    Bess_obs.Span.install None;
-    (r, cp, slo, wall)
+  (* Instruments: a private span collector feeding the critical-path
+     sink, and the SLO watcher on the point's windowed series (which
+     carries per-window tails). *)
+  let run_point n_clients =
+    closed_loop (sweep_cfg ~seed n_clients) ~observe:(fun _ ->
+        let coll = Bess_obs.Span.create () in
+        let cp = Bess_obs.Critpath.create ~top_k:8 () in
+        let slo =
+          Bess_obs.Slo.create
+            ~rules:
+              [
+                rule (Printf.sprintf "commit_p99: critpath.commit_ns.p99 < %d" budget_ns);
+                rule "no_unclosed: critpath.unclosed_roots = 0";
+                rule "no_orphans: critpath.orphan_spans = 0";
+              ]
+            ()
+        in
+        Bess_obs.Span.install (Some coll);
+        Bess_obs.Critpath.install (Some cp);
+        let series, restore = point_series () in
+        Bess_obs.Slo.watch slo series;
+        fun () ->
+          restore ();
+          Bess_obs.Slo.unwatch series;
+          Bess_obs.Critpath.install None;
+          Bess_obs.Span.install None;
+          (cp, slo))
   in
   let phase_names = List.map Bess_obs.Critpath.phase_name Bess_obs.Critpath.phases in
   let rows = ref [] in
@@ -1390,7 +1393,8 @@ let e15 () =
   let budget_ok = ref true and conserved = ref true in
   List.iter
     (fun n_clients ->
-      let r, cp, slo, wall = run_point ~seed n_clients in
+      let p = run_point n_clients in
+      let cp, slo = p.obs in
       if n_clients = 1_000 then begin
         fp_1000 := Bess_obs.Critpath.fingerprint cp;
         breaches_1000 := Bess_obs.Slo.breaches slo
@@ -1403,7 +1407,8 @@ let e15 () =
       let phase_sum = List.fold_left (fun acc (_, ns) -> acc + ns) 0 totals in
       let gap = Stdlib.abs (phase_sum - total) in
       if total > 0 && gap * 100 > total then conserved := false;
-      if n_clients = List.hd sweep && Bess_obs.Slo.breaches_of slo "commit_p99" > 0 then
+      if n_clients = List.hd sweep_clients && Bess_obs.Slo.breaches_of slo "commit_p99" > 0
+      then
         budget_ok := false;
       let frac ns =
         if total = 0 then 0.0 else 100.0 *. float_of_int ns /. float_of_int total
@@ -1428,275 +1433,52 @@ let e15 () =
                 (Bess_obs.Slo.report slo)))
         :: !point_sections;
       rows :=
-        ([ Report.count n_clients; Report.count r.Bess_sched.Driver.r_commits;
+        ([ Report.count n_clients; Report.count p.result.Bess_sched.Driver.r_commits;
            Report.count (Bess_obs.Critpath.txns cp) ]
         @ List.map (fun name -> Printf.sprintf "%.1f%%" (share name)) phase_names
         @ [ Report.count (Bess_obs.Slo.breaches slo);
-            Printf.sprintf "%.0f ms" (wall *. 1e3) ])
+            Printf.sprintf "%.0f ms" (p.wall *. 1e3) ])
         :: !rows)
-    sweep;
+    sweep_clients;
   Report.table ~id:"E15"
     ~caption:
       (Printf.sprintf
          "critical-path blame over the closed-loop sweep: per-phase share of total \
           transaction time, ~%d attempts per population, zipf(0.8) over %d pages, group:16; \
           SLO budget commit p99 < %dms per 10ms window"
-         total_attempts n_pages (budget_ns / 1_000_000))
+         sweep_attempts sweep_pages (budget_ns / 1_000_000))
     ~header:([ "clients"; "commits"; "txns" ] @ phase_names @ [ "breaches"; "wall" ])
     (List.rev !rows);
-  Report.note "e15: attribution conservation (phases sum to measured latency within 1%%): %s"
-    (if !conserved then "OK" else "FAILED");
-  Report.note "e15: latency budget gate at %d clients (commit p99 < %dms): %s"
-    (List.hd sweep) (budget_ns / 1_000_000)
-    (if !budget_ok then "OK" else "BREACHED");
+  Report.gate "e15: attribution conservation (phases sum to measured latency within 1%)"
+    !conserved "";
+  Report.gate
+    (Printf.sprintf "e15: latency budget gate at %d clients (commit p99 < %dms)"
+       (List.hd sweep_clients) (budget_ns / 1_000_000))
+    !budget_ok "";
   (* Same seed, fresh substrates: the blame decomposition and the SLO
      breach counts must reproduce bit for bit. *)
-  let _, cp2, slo2, _ = run_point ~seed 1_000 in
+  let cp2, slo2 = (run_point 1_000).obs in
   let fp2 = Bess_obs.Critpath.fingerprint cp2 in
   let deterministic =
     String.equal !fp_1000 fp2 && !breaches_1000 = Bess_obs.Slo.breaches slo2
   in
-  Report.note "e15: same-seed determinism at 1000 clients: %s"
-    (if deterministic then "OK (blame fingerprints and breach counts identical)"
+  Report.gate "e15: same-seed determinism at 1000 clients" deterministic
+    (if deterministic then Printf.sprintf "%s; breaches %d" fp2 !breaches_1000
      else
-       Printf.sprintf "FAILED (%s vs %s; breaches %d vs %d)" !fp_1000 fp2 !breaches_1000
+       Printf.sprintf "%s vs %s; breaches %d vs %d" !fp_1000 fp2 !breaches_1000
          (Bess_obs.Slo.breaches slo2));
   let json =
     Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections))
   in
   Report.add_section "e15" json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+    Report.write_bench ~experiment:"e15"
+      [ ("seed", string_of_int seed); ("clients", Report.json_ints sweep_clients);
+        ("budget_ns", string_of_int budget_ns);
+        ("deterministic", string_of_bool deterministic);
+        ("conserved", string_of_bool !conserved); ("points", json) ]
   in
-  let oc = open_out "BENCH_e15.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e15\",\"wall_time\":%s,\"seed\":%d,\"clients\":%s,\"budget_ns\":%d,\"deterministic\":%b,\"conserved\":%b,\"points\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed
-    ("[" ^ String.concat "," (List.map string_of_int sweep) ^ "]")
-    budget_ns deterministic !conserved json;
-  close_out oc;
   Report.note "blame breakdown written to BENCH_e15.json (%s) and bench_report.json#e15" stamp
-
-(* One (population, handoff) measurement for E16. *)
-type e16_point = {
-  p_commits : int;
-  p_give_ups : int;
-  p_tp : float;
-  p_wall : float;
-  p_leaked : int;
-  p_fp : string;          (* counter-snapshot fingerprint (determinism) *)
-  p_lock_frac : float;    (* lock wait + retry backoff share of total txn time *)
-  p_parks : int;
-  p_wakeups : int;
-  p_retries : int;
-  p_handoffs : int;
-  p_w2g_count : int;      (* lock.wake_to_grant_ticks observations *)
-  p_w2g_sum : int;
-}
-
-(* Wake-on-release grant handoff vs the poll-retry convoy (the handoff
-   ablation): each population runs twice from the same seed — handoff
-   off (the old bounded decorrelated-jitter poll loop) and on (in-place
-   FIFO grants + wake subscriptions, guard timers surviving only for
-   timeout/deadlock recovery) — with the critical-path sink installed,
-   so the lock-blame fraction (lock wait + retry backoff share of total
-   transaction time), the scheduled retry-event count and the park/wake
-   traffic are directly comparable. Checks: at the 10^4 and 10^5
-   populations blame fraction and retry events must be strictly lower
-   with handoff on; throughput must be no worse at every point; both
-   variants must be same-seed deterministic (counter fingerprints);
-   and a flaky-disk chaos run with handoff on must leak zero locks.
-   Artifacts: bench_report.json#e16 and a timestamped BENCH_e16.json. *)
-let e16 () =
-  let sweep = if quick then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
-  let n_pages = 2048 in
-  let total_attempts = scale 40_000 in
-  let seed = 1606 in
-  (* One sweep point: fresh db + working set, timeout detection, the
-     handoff switch set before any client runs, the span collector
-     feeding the critical-path sink so lock blame is attributable, and
-     a counter fingerprint over the run's own substrate instances. *)
-  let run_point ?(fault_sites = []) ~handoff ~seed n_clients =
-    let prev_series = Bess_obs.Series.installed () in
-    let db =
-      Workloads.fresh_db ~cache_slots:(2 * n_pages)
-        ~group_commit:(Bess_wal.Group_commit.Group_n 16) ()
-    in
-    let server = Bess.Db.server db in
-    Bess.Server.set_detection server `Timeout;
-    Bess.Server.set_lock_handoff server handoff;
-    let pages = Workloads.driver_pages db ~n_pages in
-    (match fault_sites with
-    | [] -> ()
-    | sites ->
-        Fault.seed !fault_seed;
-        Fault.apply_profile sites);
-    let sched = Bess_sched.Sched.create () in
-    let coll = Bess_obs.Span.create () in
-    let cp = Bess_obs.Critpath.create ~top_k:8 () in
-    let series = Bess_obs.Series.create ~capacity:4096 ~window_ns:10_000_000 () in
-    Bess_obs.Span.install (Some coll);
-    Bess_obs.Critpath.install (Some cp);
-    Bess_obs.Series.install (Some series);
-    let cfg =
-      { Bess_sched.Driver.default with
-        n_clients;
-        txns_per_client = Stdlib.max 1 (total_attempts / n_clients);
-        zipf_theta = 0.8;
-        hot_fraction = 0.05;
-        hot_pages = 8;
-        churn = 0.002;
-        seed;
-      }
-    in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_sched.Driver.run ~sched server ~pages cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    Bess_obs.Series.flush series;
-    Bess_obs.Series.install prev_series;
-    Bess_obs.Critpath.install None;
-    Bess_obs.Span.install None;
-    (match fault_sites with [] -> () | _ -> Fault.reset ());
-    let locks = Bess.Server.locks server in
-    let sst = Bess_sched.Sched.stats sched in
-    let lst = Bess_lock.Lock_mgr.stats locks in
-    let total = Bess_obs.Critpath.total_ns cp in
-    let totals = Bess_obs.Critpath.blame_totals cp in
-    let blame name = Option.value ~default:0 (List.assoc_opt name totals) in
-    let w2g = Stats.find_histogram lst "lock.wake_to_grant_ticks" in
-    {
-      p_commits = r.Bess_sched.Driver.r_commits;
-      p_give_ups = r.Bess_sched.Driver.r_give_ups;
-      p_tp = Bess_sched.Driver.throughput r;
-      p_wall = wall;
-      p_leaked = Bess_lock.Lock_mgr.n_locks locks;
-      p_fp =
-        Fmt.str "%a|%a|%a" Stats.pp sst Stats.pp (Bess.Server.stats server) Stats.pp lst;
-      p_lock_frac =
-        (if total = 0 then 0.0
-         else float_of_int (blame "lock" + blame "backoff") /. float_of_int total);
-      p_parks = Stats.get sst "sched.lock_parks";
-      p_wakeups = Stats.get sst "sched.lock_wakeups";
-      p_retries = Stats.get sst "sched.lock_retries";
-      p_handoffs = Stats.get lst "lock.handoffs";
-      p_w2g_count =
-        (match w2g with None -> 0 | Some h -> Bess_util.Histogram.count h);
-      p_w2g_sum = (match w2g with None -> 0 | Some h -> Bess_util.Histogram.sum h);
-    }
-  in
-  let point_json p =
-    Printf.sprintf
-      "{\"commits\":%d,\"give_ups\":%d,\"throughput\":%.1f,\"lock_blame_frac\":%.4f,\"parks\":%d,\"wakeups\":%d,\"retries\":%d,\"handoffs\":%d,\"wake_to_grant\":{\"count\":%d,\"sum_ticks\":%d},\"leaked_locks\":%d}"
-      p.p_commits p.p_give_ups p.p_tp p.p_lock_frac p.p_parks p.p_wakeups p.p_retries
-      p.p_handoffs p.p_w2g_count p.p_w2g_sum p.p_leaked
-  in
-  let rows = ref [] in
-  let point_sections = ref [] in
-  let blame_ok = ref true and retries_ok = ref true and tp_ok = ref true in
-  let fp_off_1000 = ref "" and fp_on_1000 = ref "" in
-  List.iter
-    (fun n_clients ->
-      let off = run_point ~handoff:false ~seed n_clients in
-      let on_ = run_point ~handoff:true ~seed n_clients in
-      if n_clients = 1_000 then begin
-        fp_off_1000 := off.p_fp;
-        fp_on_1000 := on_.p_fp
-      end;
-      if off.p_leaked <> 0 || on_.p_leaked <> 0 then
-        Report.note "e16: LOCK LEAK at %d clients (off %d, on %d)" n_clients
-          off.p_leaked on_.p_leaked;
-      if n_clients >= 10_000 then begin
-        if not (on_.p_lock_frac < off.p_lock_frac) then blame_ok := false;
-        if not (on_.p_retries < off.p_retries) then retries_ok := false
-      end;
-      if on_.p_tp < off.p_tp then tp_ok := false;
-      point_sections :=
-        Printf.sprintf "\"clients_%d\":{\"off\":%s,\"on\":%s}" n_clients (point_json off)
-          (point_json on_)
-        :: !point_sections;
-      rows :=
-        [
-          Report.count n_clients;
-          Printf.sprintf "%.0f/s" off.p_tp;
-          Printf.sprintf "%.0f/s" on_.p_tp;
-          Printf.sprintf "%.1f%%" (100. *. off.p_lock_frac);
-          Printf.sprintf "%.1f%%" (100. *. on_.p_lock_frac);
-          Report.count off.p_retries;
-          Report.count on_.p_retries;
-          Report.count on_.p_parks;
-          Report.count on_.p_wakeups;
-          Report.count on_.p_handoffs;
-          Printf.sprintf "%.0f ms" ((off.p_wall +. on_.p_wall) *. 1e3);
-        ]
-        :: !rows)
-    sweep;
-  Report.table ~id:"E16"
-    ~caption:
-      (Printf.sprintf
-         "wake-on-release grant handoff vs poll-retry: each population run twice from \
-          seed %d (handoff off / on), ~%d attempts, zipf(0.8) over %d pages + 5%% hot-8, \
-          group:16, 0.2%% churn; blame = lock-wait + retry-backoff share of total \
-          transaction time"
-         seed total_attempts n_pages)
-    ~header:
-      [ "clients"; "tp off"; "tp on"; "blame off"; "blame on"; "retries off";
-        "retries on"; "parks on"; "wakes on"; "handoffs"; "wall" ]
-    (List.rev !rows);
-  let big = List.filter (fun n -> n >= 10_000) sweep in
-  let big_desc =
-    match big with
-    | [] -> "no 10^4+ populations at --quick scale, gates vacuous"
-    | l -> String.concat "/" (List.map string_of_int l) ^ " clients"
-  in
-  Report.note "e16: lock-blame fraction strictly lower with handoff on [%s]: %s" big_desc
-    (if !blame_ok then "OK" else "FAILED");
-  Report.note "e16: scheduled retry events strictly lower with handoff on [%s]: %s"
-    big_desc
-    (if !retries_ok then "OK" else "FAILED");
-  Report.note "e16: throughput with handoff no worse at every population: %s"
-    (if !tp_ok then "OK" else "FAILED");
-  (* Same seed, fresh substrates, both variants: the counter snapshots
-     must be bit-identical or the handoff path (wake ordering, jitter
-     stream separation) has introduced nondeterminism. *)
-  let off2 = run_point ~handoff:false ~seed 1_000 in
-  let on2 = run_point ~handoff:true ~seed 1_000 in
-  let deterministic =
-    String.equal !fp_off_1000 off2.p_fp && String.equal !fp_on_1000 on2.p_fp
-  in
-  Report.note "e16: same-seed determinism at 1000 clients (both variants): %s"
-    (if deterministic then "OK (counter snapshots identical)"
-     else "FAILED (counter snapshots differ)");
-  (* Chaos with handoff on: commit outcomes may be lost to injected
-     faults, but disconnect-while-parked churn must never leak a lock
-     or a wake subscription. *)
-  let chaos =
-    run_point ~fault_sites:(List.assoc "flaky-disk" Fault.profiles) ~handoff:true ~seed
-      1_000
-  in
-  Report.note
-    "e16: chaos under load (flaky-disk, seed %d, handoff on): %d commits, %d give-ups, \
-     %d leaked locks"
-    !fault_seed chaos.p_commits chaos.p_give_ups chaos.p_leaked;
-  let json = Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)) in
-  Report.add_section "e16" json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-  in
-  let oc = open_out "BENCH_e16.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e16\",\"wall_time\":%s,\"seed\":%d,\"clients\":%s,\"deterministic\":%b,\"blame_strictly_lower\":%b,\"retries_strictly_lower\":%b,\"throughput_no_worse\":%b,\"chaos_leaked_locks\":%d,\"points\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed
-    ("[" ^ String.concat "," (List.map string_of_int sweep) ^ "]")
-    deterministic !blame_ok !retries_ok !tp_ok chaos.p_leaked json;
-  close_out oc;
-  Report.note "handoff ablation written to BENCH_e16.json (%s) and bench_report.json#e16"
-    stamp
 
 (* ---- E17: sharded presumed-abort 2PC fleets ------------------------------ *)
 
@@ -1850,18 +1632,20 @@ let e17 () =
       [ "shards"; "clients"; "commits"; "cross"; "aborts"; "give-ups"; "tp";
         "msgs/commit"; "2pc blame"; "wall" ]
     (List.rev !rows);
-  Report.note "e17: cross-shard commits at every point: %s"
-    (if !cross_ok then "OK" else "FAILED (a point never exercised 2PC)");
-  Report.note "e17: zero leaked locks / zero in-doubt after quiesce at every point: %s"
-    (if !clean_ok then "OK" else "FAILED");
+  Report.gate "e17: cross-shard commits at every point" !cross_ok
+    (if !cross_ok then "" else "a point never exercised 2PC");
+  Report.gate "e17: zero leaked locks / zero in-doubt after quiesce at every point" !clean_ok
+    "";
   (* Same seed, fresh ring: the Fleet fingerprint (outcome counts + the
      CRC of every shard's working set) must be byte-identical. *)
   let n_shards_mid, n_clients_mid = mid in
   let again = run_point ~seed ~n_shards:n_shards_mid n_clients_mid in
   let deterministic = String.equal !fp_mid again.s_fp in
-  Report.note "e17: same-seed fingerprint determinism at %dx%d: %s" n_shards_mid
-    n_clients_mid
-    (if deterministic then "OK (" ^ again.s_fp ^ ")" else "FAILED");
+  Report.gate
+    (Printf.sprintf "e17: same-seed fingerprint determinism at %dx%d" n_shards_mid
+       n_clients_mid)
+    deterministic
+    (if deterministic then again.s_fp else !fp_mid ^ " vs " ^ again.s_fp);
   (* Chaos under load: message faults plus coordinator and participant
      crash sites; commits may be lost, but after re-drive + query
      resolution nothing may stay locked or in doubt. *)
@@ -1878,17 +1662,14 @@ let e17 () =
     chaos.s_leaked chaos.s_in_doubt;
   let json = Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)) in
   Report.add_section "e17" json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+    Report.write_bench ~experiment:"e17"
+      [ ("seed", string_of_int seed); ("deterministic", string_of_bool deterministic);
+        ("cross_shard_everywhere", string_of_bool !cross_ok);
+        ("quiesced_clean", string_of_bool !clean_ok);
+        ("chaos_leaked_locks", string_of_int chaos.s_leaked);
+        ("chaos_in_doubt", string_of_int chaos.s_in_doubt); ("points", json) ]
   in
-  let oc = open_out "BENCH_e17.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e17\",\"wall_time\":%s,\"seed\":%d,\"deterministic\":%b,\"cross_shard_everywhere\":%b,\"quiesced_clean\":%b,\"chaos_leaked_locks\":%d,\"chaos_in_doubt\":%d,\"points\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed deterministic !cross_ok !clean_ok chaos.s_leaked chaos.s_in_doubt json;
-  close_out oc;
   Report.note "sharded 2PC sweep written to BENCH_e17.json (%s) and bench_report.json#e17"
     stamp
 
@@ -1907,7 +1688,6 @@ let e17 () =
    not perturb the observed. Artifacts: bench_report.json#e18 and a
    timestamped BENCH_e18.json. *)
 let e18 () =
-  let n_pages = 2048 in
   let total_attempts = scale 20_000 in
   let seed = 1818 in
   let n_clients = 200 in
@@ -1915,27 +1695,6 @@ let e18 () =
   let sizes = if quick then [ 256; 1024 ] else [ 128; 256; 1024 ] in
   let gate_skew = 0.8 in
   let run_point ~xray ~skew ~cache_slots =
-    (* Pinned db_id: area ids (hence page keys, hence the key-labeled
-       heat JSON) derive from it, and gate (b) compares those bytes
-       across re-runs. *)
-    let db =
-      Workloads.fresh_db ~cache_slots ~group_commit:(Bess_wal.Group_commit.Group_n 16)
-        ~db_id:9181 ()
-    in
-    let server = Bess.Db.server db in
-    Bess.Server.set_detection server `Timeout;
-    let pages = Workloads.driver_pages db ~n_pages in
-    let store = Bess.Server.store server in
-    let cache = Bess.Store.cache store in
-    let cstats = Bess_cache.Cache.stats cache in
-    (* The working-set loader warms the cache before the X-ray goes in:
-       both sketches and the measured hit rate see workload traffic
-       only. *)
-    let h0 = Stats.get cstats "cache.hits" and m0 = Stats.get cstats "cache.misses" in
-    let sched = Bess_sched.Sched.create () in
-    (* 1/4 spatial sampling: coarser rates leave too few sampled depths
-       below the smallest swept cache size for a 5-point gate. *)
-    let memx = if xray then Some (Bess_cache.Memx.install ~rate_bits:2 cache) else None in
     let cfg =
       { Bess_sched.Driver.default with
         n_clients;
@@ -1944,42 +1703,55 @@ let e18 () =
         seed;
       }
     in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_sched.Driver.run ~sched server ~pages cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    let dh = Stats.get cstats "cache.hits" - h0 in
-    let dm = Stats.get cstats "cache.misses" - m0 in
-    let measured =
-      if dh + dm = 0 then 0.0 else float_of_int dh /. float_of_int (dh + dm)
+    (* Pinned db_id: area ids (hence page keys, hence the key-labeled
+       heat JSON) derive from it, and gate (b) compares those bytes
+       across re-runs. The working-set loader has warmed the cache
+       before the instruments go in: both sketches and the measured hit
+       rate see workload traffic only. *)
+    let p =
+      closed_loop ~cache_slots ~db_id:9181 cfg ~observe:(fun server ->
+          let cache = Bess.Store.cache (Bess.Server.store server) in
+          let cstats = Bess_cache.Cache.stats cache in
+          let h0 = Stats.get cstats "cache.hits" and m0 = Stats.get cstats "cache.misses" in
+          (* 1/4 spatial sampling: coarser rates leave too few sampled
+             depths below the smallest swept cache size for a 5-point
+             gate. *)
+          let memx =
+            if xray then Some (Bess_cache.Memx.install ~rate_bits:2 cache) else None
+          in
+          fun () ->
+            let dh = Stats.get cstats "cache.hits" - h0 in
+            let dm = Stats.get cstats "cache.misses" - m0 in
+            let measured =
+              if dh + dm = 0 then 0.0 else float_of_int dh /. float_of_int (dh + dm)
+            in
+            let x =
+              Option.map
+                (fun m ->
+                  let predicted = Bess_cache.Memx.predicted_hit_rate m in
+                  let mrc_json = Bess_cache.Memx.json_of_mrc m in
+                  let heat_json = Bess_cache.Memx.json_of_heat ~k:10 m in
+                  Bess_cache.Memx.uninstall m;
+                  (predicted, mrc_json, heat_json))
+                memx
+            in
+            (cstats, measured, x))
     in
+    let cstats, measured, x = p.obs in
+    let store = Bess.Server.store p.server in
     let logical = Stats.get (Bess.Store.stats store) "store.logical_bytes" in
     let durable =
       Stats.get (Bess_wal.Log.stats (Bess.Store.log store)) "log.forced_bytes"
       + Stats.get (Bess.Store.stats store) "store.page_flush_bytes"
     in
     let wamp = if logical = 0 then 0.0 else float_of_int durable /. float_of_int logical in
-    let fp =
-      Fmt.str "%a|%a|%a" Stats.pp
-        (Bess_sched.Sched.stats sched)
-        Stats.pp (Bess.Server.stats server) Stats.pp cstats
-    in
-    let x =
-      Option.map
-        (fun m ->
-          let predicted = Bess_cache.Memx.predicted_hit_rate m in
-          let mrc_json = Bess_cache.Memx.json_of_mrc m in
-          let heat_json = Bess_cache.Memx.json_of_heat ~k:10 m in
-          Bess_cache.Memx.uninstall m;
-          (predicted, mrc_json, heat_json))
-        memx
-    in
-    ( r,
+    ( p.result,
       measured,
       wamp,
       Stats.get cstats "cache.evict_clean",
       Stats.get cstats "cache.evict_dirty",
-      fp,
-      wall,
+      fingerprint p cstats,
+      p.wall,
       x )
   in
   let rows = ref [] in
@@ -2037,44 +1809,39 @@ let e18 () =
           pages, group:16; predicted = SHARDS MRC (rate 1/4) at the configured size, \
           measured = cache hits/(hits+misses) over the workload, wamp = durable bytes \
           (WAL forces + page writebacks) per logical byte"
-         total_attempts n_clients n_pages)
+         total_attempts n_clients sweep_pages)
     ~header:
       [ "skew"; "slots"; "commits"; "measured"; "predicted"; "delta pts"; "write-amp";
         "evict clean"; "evict dirty"; "wall" ]
     (List.rev !rows);
-  Report.note "e18: MRC accuracy gate (<= 5 points at configured size, zipf %.1f): %s"
-    gate_skew
-    (if !accuracy_ok then "OK" else "FAILED");
+  Report.gate
+    (Printf.sprintf "e18: MRC accuracy gate (<= 5 points at configured size, zipf %.1f)"
+       gate_skew)
+    !accuracy_ok "";
   (* Same seed, fresh substrates: both sketches must render byte for
      byte the same artifacts (heat stamps are epoch-relative exactly so
      this holds at any absolute clock offset). *)
   let _, _, _, _, _, fp2, _, x2 = run_point ~xray:true ~skew:gate_skew ~cache_slots:gate_size in
   let mrc2, heat2 = match x2 with Some (_, m, h) -> (m, h) | None -> assert false in
   let deterministic = String.equal !gate_mrc mrc2 && String.equal !gate_heat heat2 in
-  Report.note "e18: same-seed byte-identical MRC/heat JSON: %s"
-    (if deterministic then "OK" else "FAILED");
+  Report.gate "e18: same-seed byte-identical MRC/heat JSON" deterministic "";
   (* Observer effect: the same point with the X-ray never installed must
      produce bit-identical sched/server/cache counter snapshots. *)
   let _, _, _, _, _, fp_bare, _, _ =
     run_point ~xray:false ~skew:gate_skew ~cache_slots:gate_size
   in
   let zero_cost = String.equal !gate_fp fp2 && String.equal fp2 fp_bare in
-  Report.note "e18: zero observer effect (counter fingerprints bit-identical without the \
-               X-ray): %s"
-    (if zero_cost then "OK" else "FAILED");
+  Report.gate
+    "e18: zero observer effect (counter fingerprints bit-identical without the X-ray)"
+    zero_cost "";
   let json = Printf.sprintf "{%s}" (String.concat "," (List.rev !sections)) in
   Report.add_section "e18" json;
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+    Report.write_bench ~experiment:"e18"
+      [ ("seed", string_of_int seed); ("accuracy_ok", string_of_bool !accuracy_ok);
+        ("deterministic", string_of_bool deterministic);
+        ("zero_cost", string_of_bool zero_cost); ("points", json) ]
   in
-  let oc = open_out "BENCH_e18.json" in
-  Printf.fprintf oc
-    "{\"experiment\":\"e18\",\"wall_time\":%s,\"seed\":%d,\"accuracy_ok\":%b,\"deterministic\":%b,\"zero_cost\":%b,\"points\":%s}\n"
-    (Bess_obs.Registry.json_string stamp)
-    seed !accuracy_ok deterministic zero_cost json;
-  close_out oc;
   Report.note "memory X-ray sweep written to BENCH_e18.json (%s) and bench_report.json#e18"
     stamp
 
@@ -2614,7 +2381,7 @@ let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7);
     ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13);
-    ("e14", e14); ("e15", e15); ("e16", e16); ("e17", e17); ("e18", e18);
+    ("e14", e14); ("e15", e15); ("e17", e17); ("e18", e18);
     ("f1", f1); ("f2", f2); ("f3", f3);
     ("f4", f4);
     ("a1", a1); ("a2", a2); ("a3", a3); ("r1", r1); ("t1", t1);
@@ -2729,4 +2496,11 @@ let () =
       close_out oc;
       Printf.printf "chrome trace (chrome://tracing, about:tracing or ui.perfetto.dev): %s\n" path)
     collector;
-  Printf.printf "\ndone.\n"
+  (* Gate failures fail the run, after every artifact is written, so the
+     smoke alias (and CI) cannot pass over a FAILED line. *)
+  match List.rev !Report.failed_gates with
+  | [] -> Printf.printf "\ndone.\n"
+  | failed ->
+      Printf.printf "\n%d gate(s) FAILED:\n" (List.length failed);
+      List.iter (Printf.printf "  %s\n") failed;
+      exit 1

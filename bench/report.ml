@@ -49,6 +49,42 @@ let table ~id ~caption ~header rows =
 
 let note fmt = Printf.printf ("    " ^^ fmt ^^ "\n%!")
 
+(* ---- Gates ------------------------------------------------------------------ *)
+
+(* A gate is a note with a verdict: it prints "<name>: OK|FAILED
+   (<detail>)" and remembers failures, so the harness can exit non-zero
+   once the report is written (the smoke alias relies on that). *)
+let failed_gates : string list ref = ref []
+
+let gate name ok detail =
+  if not ok then failed_gates := name :: !failed_gates;
+  note "%s: %s%s" name (if ok then "OK" else "FAILED")
+    (if detail = "" then "" else " (" ^ detail ^ ")")
+
+(* ---- BENCH artifacts ---------------------------------------------------------- *)
+
+(* Write the timestamped BENCH_<experiment>.json trajectory artifact:
+   the experiment name and wall-clock stamp, then [fields] in order (each
+   value already rendered JSON). Returns the stamp. *)
+let write_bench ~experiment fields =
+  let tm = Unix.gmtime (Unix.gettimeofday ()) in
+  let stamp =
+    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
+      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+  in
+  let oc = open_out (Printf.sprintf "BENCH_%s.json" experiment) in
+  Printf.fprintf oc "{\"experiment\":%s,\"wall_time\":%s"
+    (Bess_obs.Registry.json_string experiment)
+    (Bess_obs.Registry.json_string stamp);
+  List.iter
+    (fun (k, v) -> Printf.fprintf oc ",%s:%s" (Bess_obs.Registry.json_string k) v)
+    fields;
+  output_string oc "}\n";
+  close_out oc;
+  stamp
+
+let json_ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
+
 (* ---- Observability report --------------------------------------------- *)
 
 (* Each experiment runs under [with_observed], which brackets it with

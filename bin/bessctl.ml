@@ -434,212 +434,25 @@ let load_workloads =
         } );
   ]
 
-(* Shared by load and slow: the e16 ablation switch, exposed so the
-   poll-retry convoy can be reproduced interactively. *)
-let no_handoff_arg =
-  Arg.(value & flag
-       & info [ "no-handoff" ]
+(* Shared by load, slow, mrc and heat: the named closed-loop workload's
+   flags, and the setup that opens the db, seeds the working set and
+   builds the workload's driver config. *)
+let workload_arg =
+  Arg.(value & opt string "zipf"
+       & info [ "workload" ] ~docv:"NAME"
            ~doc:
-             "Disable wake-on-release lock handoff: blocked clients fall back to the \
-              bounded-backoff poll-retry loop (the pre-handoff behaviour)")
+             "Named workload: $(b,uniform), $(b,zipf), $(b,hotspot) (zipf plus a hot set) \
+              or $(b,churn) (hotspot plus session churn)")
 
-let load_cmd =
-  let workload_arg =
-    Arg.(value & opt string "zipf"
-         & info [ "workload" ] ~docv:"NAME"
-             ~doc:
-               "Named workload: $(b,uniform), $(b,zipf), $(b,hotspot) (zipf plus a hot set) \
-                or $(b,churn) (hotspot plus session churn)")
-  in
-  let clients =
-    Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N" ~doc:"Simulated clients")
-  in
-  let txns =
-    Arg.(value & opt int 50 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per client")
-  in
-  let pages =
-    Arg.(value & opt int 1024 & info [ "pages" ] ~docv:"N" ~doc:"Working-set pages to seed")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed") in
-  let window_us =
-    Arg.(value & opt int 1000
-         & info [ "window-us" ] ~docv:"US" ~doc:"Sampling window in simulated microseconds")
-  in
-  let limit =
-    Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"Counters to show (busiest first)")
-  in
-  let run dir workload clients txns pages seed window_us limit no_handoff =
-    match List.assoc_opt workload load_workloads with
-    | None ->
-        Printf.eprintf "bad --workload %S (try uniform, zipf, hotspot, churn)\n" workload;
-        exit 2
-    | Some shape ->
-        let series =
-          Bess_obs.Series.create ~capacity:4096 ~window_ns:(Stdlib.max 1 window_us * 1000) ()
-        in
-        with_db dir (fun db ->
-            let server = Bess.Db.server db in
-            Bess.Server.set_detection server `Timeout;
-            if no_handoff then Bess.Server.set_lock_handoff server false;
-            let page_ids = seed_working_set db pages in
-            let cfg =
-              shape
-                { Bess_sched.Driver.default with
-                  n_clients = clients;
-                  txns_per_client = txns;
-                  seed;
-                }
-            in
-            Bess_obs.Series.install (Some series);
-            let r =
-              Fun.protect
-                ~finally:(fun () -> Bess_obs.Series.install None)
-                (fun () -> Bess_sched.Driver.run server ~pages:page_ids cfg)
-            in
-            Bess_obs.Series.flush series;
-            let samples = Bess_obs.Series.to_list series in
-            Printf.printf "load: %S, %d clients x %d txns over %d pages, seed %d\n" workload
-              clients txns (Array.length page_ids) seed;
-            Printf.printf
-              "  commits %d  aborts %d  give-ups %d  indeterminate %d  churns %d\n"
-              r.Bess_sched.Driver.r_commits r.r_aborts r.r_give_ups r.r_indeterminate
-              r.r_disconnects;
-            Printf.printf "  %.1f ms simulated, %.0f commits/s, commit p50 %.1fus p99 %.1fus\n"
-              (float_of_int r.r_sim_ns /. 1e6)
-              (Bess_sched.Driver.throughput r)
-              (float_of_int r.r_commit_p50_ns /. 1e3)
-              (float_of_int r.r_commit_p99_ns /. 1e3);
-            Printf.printf "  %d windows of >=%dus simulated time\n" (List.length samples)
-              window_us;
-            print_window_report samples ~limit)
-  in
-  Cmd.v
-    (Cmd.info "load"
-       ~doc:
-         "Run a named closed-loop workload at a given client count on the event scheduler \
-          and report windowed rates")
-    Term.(const run $ dir_arg $ workload_arg $ clients $ txns $ pages $ seed $ window_us
-          $ limit $ no_handoff_arg)
+let clients_arg = Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N" ~doc:"Simulated clients")
+let txns_arg = Arg.(value & opt int 50 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per client")
 
-(* ---- slow ---- *)
+let pages_arg =
+  Arg.(value & opt int 1024 & info [ "pages" ] ~docv:"N" ~doc:"Working-set pages to seed")
 
-(* Tail-latency attribution: run the same closed-loop workload [bessctl
-   load] runs, but with span tracing and the critical-path sink
-   installed, and report where the slowest transactions spent their
-   time, phase by phase. *)
+let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed")
 
-let slow_cmd =
-  let workload_arg =
-    Arg.(value & opt string "zipf"
-         & info [ "workload" ] ~docv:"NAME"
-             ~doc:"Named workload (same set as $(b,bessctl load))")
-  in
-  let clients =
-    Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N" ~doc:"Simulated clients")
-  in
-  let txns =
-    Arg.(value & opt int 50 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per client")
-  in
-  let pages =
-    Arg.(value & opt int 1024 & info [ "pages" ] ~docv:"N" ~doc:"Working-set pages to seed")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed") in
-  let top_k =
-    Arg.(value & opt int 10
-         & info [ "slowest" ] ~docv:"K" ~doc:"Slowest transactions to capture and print")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the slow-transaction reservoir as JSON")
-  in
-  let run dir workload clients txns pages seed top_k json no_handoff =
-    match List.assoc_opt workload load_workloads with
-    | None ->
-        Printf.eprintf "bad --workload %S (try uniform, zipf, hotspot, churn)\n" workload;
-        exit 2
-    | Some shape ->
-        with_db dir (fun db ->
-            let server = Bess.Db.server db in
-            Bess.Server.set_detection server `Timeout;
-            if no_handoff then Bess.Server.set_lock_handoff server false;
-            let page_ids = seed_working_set db pages in
-            let cfg =
-              shape
-                { Bess_sched.Driver.default with
-                  n_clients = clients;
-                  txns_per_client = txns;
-                  seed;
-                }
-            in
-            let coll = Bess_obs.Span.create () in
-            let cp = Bess_obs.Critpath.create ~top_k () in
-            Bess_obs.Span.install (Some coll);
-            Bess_obs.Critpath.install (Some cp);
-            let r =
-              Fun.protect
-                ~finally:(fun () ->
-                  Bess_obs.Critpath.install None;
-                  Bess_obs.Span.install None)
-                (fun () -> Bess_sched.Driver.run server ~pages:page_ids cfg)
-            in
-            if json then print_string (Bess_obs.Critpath.json_of_slow cp ^ "\n")
-            else begin
-              Printf.printf "slow: %S, %d clients x %d txns over %d pages, seed %d\n" workload
-                clients txns (Array.length page_ids) seed;
-              Printf.printf "  commits %d  aborts %d  give-ups %d  indeterminate %d\n"
-                r.Bess_sched.Driver.r_commits r.r_aborts r.r_give_ups r.r_indeterminate;
-              let total = Bess_obs.Critpath.total_ns cp in
-              Printf.printf "  %d transactions attributed, %.1f ms total\n"
-                (Bess_obs.Critpath.txns cp)
-                (float_of_int total /. 1e6);
-              Printf.printf "  %-10s %14s %7s\n" "PHASE" "TOTAL-NS" "SHARE";
-              List.iter
-                (fun (name, ns) ->
-                  if ns > 0 then
-                    Printf.printf "  %-10s %14d %6.1f%%\n" name ns
-                      (100.0 *. float_of_int ns /. float_of_int (Stdlib.max 1 total)))
-                (Bess_obs.Critpath.blame_totals cp);
-              let slow = Bess_obs.Critpath.slow cp in
-              Printf.printf "slowest %d transactions:\n" (List.length slow);
-              List.iteri
-                (fun i (st : Bess_obs.Critpath.slow_txn) ->
-                  let b = st.st_blame in
-                  let root = st.st_root in
-                  let outcome =
-                    Option.value ~default:"?" (List.assoc_opt "outcome" root.attrs)
-                  in
-                  let parts =
-                    List.concat
-                      (List.mapi
-                         (fun j p ->
-                           let ns = b.b_phase_ns.(j) in
-                           if ns > 0 then
-                             [ Printf.sprintf "%s %dns" (Bess_obs.Critpath.phase_name p) ns ]
-                           else [])
-                         Bess_obs.Critpath.phases)
-                  in
-                  Printf.printf "  #%-2d span %-6d %8dns %-13s %d spans %d faults | %s\n"
-                    (i + 1) root.id b.b_total_ns outcome
-                    (List.length st.st_spans)
-                    (List.length st.st_faults)
-                    (String.concat ", " parts))
-                slow
-            end)
-  in
-  Cmd.v
-    (Cmd.info "slow"
-       ~doc:
-         "Run a closed-loop workload with critical-path attribution installed and print the \
-          slowest transactions' phase-by-phase blame breakdown")
-    Term.(const run $ dir_arg $ workload_arg $ clients $ txns $ pages $ seed $ top_k
-          $ json_arg $ no_handoff_arg)
-
-(* ---- mrc / heat: the memory X-ray ---- *)
-
-(* Shared runner: install the X-ray on the server's page cache AFTER
-   seeding (so the sketches see the workload, not the loader), drive the
-   named workload, and hand the sketches plus the workload-only hit/miss
-   deltas to the reporter. *)
-let run_xray dir ~workload ~clients ~txns ~pages ~seed ~rate_bits ~heat_window_us f =
+let with_workload dir ~workload ~clients ~txns ~pages ~seed f =
   match List.assoc_opt workload load_workloads with
   | None ->
       Printf.eprintf "bad --workload %S (try uniform, zipf, hotspot, churn)\n" workload;
@@ -649,46 +462,165 @@ let run_xray dir ~workload ~clients ~txns ~pages ~seed ~rate_bits ~heat_window_u
           let server = Bess.Db.server db in
           Bess.Server.set_detection server `Timeout;
           let page_ids = seed_working_set db pages in
-          let cache = Bess.Store.cache (Bess.Server.store server) in
-          let stats = Bess_cache.Cache.stats cache in
-          let h0 = Bess_util.Stats.get stats "cache.hits" in
-          let m0 = Bess_util.Stats.get stats "cache.misses" in
-          let memx =
-            Bess_cache.Memx.install ~rate_bits
-              ~heat_window_ns:(Stdlib.max 1 heat_window_us * 1000)
-              cache
-          in
-          let cfg =
-            shape
-              { Bess_sched.Driver.default with
-                n_clients = clients;
-                txns_per_client = txns;
-                seed;
-              }
-          in
+          f server page_ids
+            (shape
+               { Bess_sched.Driver.default with
+                 n_clients = clients;
+                 txns_per_client = txns;
+                 seed;
+               }))
+
+let load_cmd =
+  let window_us =
+    Arg.(value & opt int 1000
+         & info [ "window-us" ] ~docv:"US" ~doc:"Sampling window in simulated microseconds")
+  in
+  let limit =
+    Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"Counters to show (busiest first)")
+  in
+  let run dir workload clients txns pages seed window_us limit =
+    let series =
+      Bess_obs.Series.create ~capacity:4096 ~window_ns:(Stdlib.max 1 window_us * 1000) ()
+    in
+    with_workload dir ~workload ~clients ~txns ~pages ~seed (fun server page_ids cfg ->
+        Bess_obs.Series.install (Some series);
+        let r =
           Fun.protect
-            ~finally:(fun () -> Bess_cache.Memx.uninstall memx)
-            (fun () ->
-              let r = Bess_sched.Driver.run server ~pages:page_ids cfg in
-              let dh = Bess_util.Stats.get stats "cache.hits" - h0 in
-              let dm = Bess_util.Stats.get stats "cache.misses" - m0 in
-              let measured =
-                if dh + dm = 0 then 0.0 else float_of_int dh /. float_of_int (dh + dm)
+            ~finally:(fun () -> Bess_obs.Series.install None)
+            (fun () -> Bess_sched.Driver.run server ~pages:page_ids cfg)
+        in
+        Bess_obs.Series.flush series;
+        let samples = Bess_obs.Series.to_list series in
+        Printf.printf "load: %S, %d clients x %d txns over %d pages, seed %d\n" workload
+          clients txns (Array.length page_ids) seed;
+        Printf.printf
+          "  commits %d  aborts %d  give-ups %d  indeterminate %d  churns %d\n"
+          r.Bess_sched.Driver.r_commits r.r_aborts r.r_give_ups r.r_indeterminate
+          r.r_disconnects;
+        Printf.printf "  %.1f ms simulated, %.0f commits/s, commit p50 %.1fus p99 %.1fus\n"
+          (float_of_int r.r_sim_ns /. 1e6)
+          (Bess_sched.Driver.throughput r)
+          (float_of_int r.r_commit_p50_ns /. 1e3)
+          (float_of_int r.r_commit_p99_ns /. 1e3);
+        Printf.printf "  %d windows of >=%dus simulated time\n" (List.length samples)
+          window_us;
+        print_window_report samples ~limit)
+  in
+  Cmd.v
+    (Cmd.info "load"
+       ~doc:
+         "Run a named closed-loop workload at a given client count on the event scheduler \
+          and report windowed rates")
+    Term.(const run $ dir_arg $ workload_arg $ clients_arg $ txns_arg $ pages_arg $ seed_arg
+          $ window_us $ limit)
+
+(* ---- slow ---- *)
+
+(* Tail-latency attribution: run the same closed-loop workload [bessctl
+   load] runs, but with span tracing and the critical-path sink
+   installed, and report where the slowest transactions spent their
+   time, phase by phase. *)
+
+let slow_cmd =
+  let top_k =
+    Arg.(value & opt int 10
+         & info [ "slowest" ] ~docv:"K" ~doc:"Slowest transactions to capture and print")
+  in
+  let json_arg =
+    Arg.(value & flag & info [ "json" ] ~doc:"Emit the slow-transaction reservoir as JSON")
+  in
+  let run dir workload clients txns pages seed top_k json =
+    with_workload dir ~workload ~clients ~txns ~pages ~seed (fun server page_ids cfg ->
+        let coll = Bess_obs.Span.create () in
+        let cp = Bess_obs.Critpath.create ~top_k () in
+        Bess_obs.Span.install (Some coll);
+        Bess_obs.Critpath.install (Some cp);
+        let r =
+          Fun.protect
+            ~finally:(fun () ->
+              Bess_obs.Critpath.install None;
+              Bess_obs.Span.install None)
+            (fun () -> Bess_sched.Driver.run server ~pages:page_ids cfg)
+        in
+        if json then print_string (Bess_obs.Critpath.json_of_slow cp ^ "\n")
+        else begin
+          Printf.printf "slow: %S, %d clients x %d txns over %d pages, seed %d\n" workload
+            clients txns (Array.length page_ids) seed;
+          Printf.printf "  commits %d  aborts %d  give-ups %d  indeterminate %d\n"
+            r.Bess_sched.Driver.r_commits r.r_aborts r.r_give_ups r.r_indeterminate;
+          let total = Bess_obs.Critpath.total_ns cp in
+          Printf.printf "  %d transactions attributed, %.1f ms total\n"
+            (Bess_obs.Critpath.txns cp)
+            (float_of_int total /. 1e6);
+          Printf.printf "  %-10s %14s %7s\n" "PHASE" "TOTAL-NS" "SHARE";
+          List.iter
+            (fun (name, ns) ->
+              if ns > 0 then
+                Printf.printf "  %-10s %14d %6.1f%%\n" name ns
+                  (100.0 *. float_of_int ns /. float_of_int (Stdlib.max 1 total)))
+            (Bess_obs.Critpath.blame_totals cp);
+          let slow = Bess_obs.Critpath.slow cp in
+          Printf.printf "slowest %d transactions:\n" (List.length slow);
+          List.iteri
+            (fun i (st : Bess_obs.Critpath.slow_txn) ->
+              let b = st.st_blame in
+              let root = st.st_root in
+              let outcome =
+                Option.value ~default:"?" (List.assoc_opt "outcome" root.attrs)
               in
-              f ~cache ~memx ~result:r ~measured ~n_pages:(Array.length page_ids)))
+              let parts =
+                List.concat
+                  (List.mapi
+                     (fun j p ->
+                       let ns = b.b_phase_ns.(j) in
+                       if ns > 0 then
+                         [ Printf.sprintf "%s %dns" (Bess_obs.Critpath.phase_name p) ns ]
+                       else [])
+                     Bess_obs.Critpath.phases)
+              in
+              Printf.printf "  #%-2d span %-6d %8dns %-13s %d spans %d faults | %s\n"
+                (i + 1) root.id b.b_total_ns outcome
+                (List.length st.st_spans)
+                (List.length st.st_faults)
+                (String.concat ", " parts))
+            slow
+        end)
+  in
+  Cmd.v
+    (Cmd.info "slow"
+       ~doc:
+         "Run a closed-loop workload with critical-path attribution installed and print the \
+          slowest transactions' phase-by-phase blame breakdown")
+    Term.(const run $ dir_arg $ workload_arg $ clients_arg $ txns_arg $ pages_arg $ seed_arg
+          $ top_k $ json_arg)
 
-let xray_workload_arg =
-  Arg.(value & opt string "zipf"
-       & info [ "workload" ] ~docv:"NAME"
-           ~doc:"Named workload (same set as $(b,bessctl load))")
+(* ---- mrc / heat: the memory X-ray ---- *)
 
-let xray_clients = Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N" ~doc:"Simulated clients")
-let xray_txns = Arg.(value & opt int 50 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per client")
-
-let xray_pages =
-  Arg.(value & opt int 1024 & info [ "pages" ] ~docv:"N" ~doc:"Working-set pages to seed")
-
-let xray_seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed")
+(* Shared runner: install the X-ray on the server's page cache AFTER
+   seeding (so the sketches see the workload, not the loader), drive the
+   named workload, and hand the sketches plus the workload-only hit/miss
+   deltas to the reporter. *)
+let run_xray dir ~workload ~clients ~txns ~pages ~seed ~rate_bits ~heat_window_us f =
+  with_workload dir ~workload ~clients ~txns ~pages ~seed (fun server page_ids cfg ->
+      let cache = Bess.Store.cache (Bess.Server.store server) in
+      let stats = Bess_cache.Cache.stats cache in
+      let h0 = Bess_util.Stats.get stats "cache.hits" in
+      let m0 = Bess_util.Stats.get stats "cache.misses" in
+      let memx =
+        Bess_cache.Memx.install ~rate_bits
+          ~heat_window_ns:(Stdlib.max 1 heat_window_us * 1000)
+          cache
+      in
+      Fun.protect
+        ~finally:(fun () -> Bess_cache.Memx.uninstall memx)
+        (fun () ->
+          let r = Bess_sched.Driver.run server ~pages:page_ids cfg in
+          let dh = Bess_util.Stats.get stats "cache.hits" - h0 in
+          let dm = Bess_util.Stats.get stats "cache.misses" - m0 in
+          let measured =
+            if dh + dm = 0 then 0.0 else float_of_int dh /. float_of_int (dh + dm)
+          in
+          f ~cache ~memx ~result:r ~measured ~n_pages:(Array.length page_ids)))
 
 let xray_json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the sketch as deterministic JSON")
 
@@ -732,8 +664,8 @@ let mrc_cmd =
          "Run a closed-loop workload with the SHARDS miss-ratio-curve sampler installed and \
           print the predicted hit rate at every power-of-two cache size against the measured \
           rate at the configured size")
-    Term.(const run $ dir_arg $ xray_workload_arg $ xray_clients $ xray_txns $ xray_pages
-          $ xray_seed $ rate_bits $ xray_json)
+    Term.(const run $ dir_arg $ workload_arg $ clients_arg $ txns_arg $ pages_arg
+          $ seed_arg $ rate_bits $ xray_json)
 
 let heat_cmd =
   let top_arg =
@@ -771,8 +703,8 @@ let heat_cmd =
        ~doc:
          "Run a closed-loop workload with the decayed page-heat sketch installed and print \
           the hottest pages")
-    Term.(const run $ dir_arg $ xray_workload_arg $ xray_clients $ xray_txns $ xray_pages
-          $ xray_seed $ top_arg $ window_us $ xray_json)
+    Term.(const run $ dir_arg $ workload_arg $ clients_arg $ txns_arg $ pages_arg
+          $ seed_arg $ top_arg $ window_us $ xray_json)
 
 (* ---- flightrec ---- *)
 

@@ -63,7 +63,6 @@ type t = {
   hooks : Event.hooks;
   mutable next_txn : int;
   mutable detect : [ `Graph | `Timeout ];
-  mutable lock_handoff : bool; (* survives [crash] replacing [locks] *)
   mutable n_prepared : int; (* txns in [Prepared], kept incrementally *)
   stats : Bess_util.Stats.t;
 }
@@ -107,7 +106,6 @@ let run_callbacks t ~requester r mode =
    waiter's own re-poll would — and the wake hook pops the one-shot
    subscription of a granted transaction. *)
 let install_lock_hooks t =
-  Lock_mgr.set_handoff t.locks t.lock_handoff;
   Lock_mgr.set_grant_filter t.locks
     (Some
        (fun ~txn r mode ->
@@ -137,7 +135,6 @@ let create ?log_path ?log ?group_commit ?(cache_slots = 1024) ?(detect = `Graph)
       hooks = Event.hooks_create ();
       next_txn = 1;
       detect;
-      lock_handoff = true;
       n_prepared = 0;
       stats =
         (let stats = Bess_util.Stats.create () in
@@ -167,11 +164,10 @@ let id t = t.id
 let set_detection t d = t.detect <- d
 let set_group_policy t p = Store.set_group_policy t.store p
 
-let set_lock_handoff t b =
-  t.lock_handoff <- b;
-  Lock_mgr.set_handoff t.locks b
-
-let lock_handoff t = t.lock_handoff
+(* Always [true]: lock waits are handed off in place on release. Kept
+   for callers that assert the discipline they measure (the repo
+   benchmark does). *)
+let lock_handoff _ = true
 
 (* ---- Clients ---- *)
 
@@ -235,7 +231,7 @@ let lock t ~txn:txn_id r mode =
    subscription also dies with the transaction (commit/abort) and with
    the lock table on crash. No wake ever fires for a [`Blocked] caused
    by cached-copy callbacks alone (nothing is queued in the lock table),
-   or when handoff is off — parked callers keep a timer as a fallback. *)
+   so parked callers keep a timer as a fallback. *)
 let lock_async t ~txn:txn_id r mode ~on_wake =
   match lock t ~txn:txn_id r mode with
   | `Blocked ->

@@ -1,11 +1,12 @@
 (* The lock table: strict two-phase locking with FIFO wait queues.
 
    The simulation is cooperative, so [acquire] never blocks a thread --
-   it returns [`Granted] or [`Blocked], and the scheduler retries blocked
-   clients after each [release_all]. Deadlocks are detected two ways, both
-   from the paper's world: timeouts (what BeSS uses for the distributed
-   case) via a logical clock, and an exact waits-for-graph cycle check
-   (what a local lock manager can afford). Experiments can choose either.
+   it returns [`Granted] or [`Blocked], and a later release hands the
+   lock to the blocked client in place (see below). Deadlocks are
+   detected two ways, both from the paper's world: timeouts (what BeSS
+   uses for the distributed case) via a logical clock, and an exact
+   waits-for-graph cycle check (what a local lock manager can afford).
+   Experiments can choose either.
 
    Resources are small integer triples so page, file and object locks all
    fit one table: [space] names the namespace (see {!resource}).
@@ -23,19 +24,18 @@
    visited; the regression test asserts it stays linear in the number of
    transactions.
 
-   Grant handoff (wake-on-release): with [handoff] enabled (the default),
-   [release_all] does not merely hint at who might be grantable — it
-   grants the maximal compatible FIFO prefix of each affected queue *in
-   place*, transferring the lock before any new acquirer can barge, and
-   fires the registered wake hook once per granted transaction. Blocked
-   callers park on that wake instead of poll-retrying, so a hot resource
-   pays zero dead time between a release and the successor's grant
-   ([lock.handoffs] counts the transfers, [lock.wake_to_grant_ticks] the
-   dead time — identically zero for handoff grants). The optional grant
+   Grant handoff (wake-on-release): [release_all] grants the maximal
+   compatible FIFO prefix of each affected queue *in place*, transferring
+   the lock before any new acquirer can barge, and fires the registered
+   wake hook once per granted transaction. Blocked callers park on that
+   wake instead of poll-retrying, so a hot resource pays zero dead time
+   between a release and the successor's grant ([lock.handoffs] counts
+   the transfers, [lock.wake_to_grant_ticks] the dead time — identically
+   zero for handoff grants). The optional grant
    filter lets the server veto an in-place grant that still conflicts
    with other clients' *cached* copies (callback locking): a vetoed
-   waiter keeps its queue position and is picked up by the caller's
-   timeout-guard re-poll, so FIFO order survives the veto.
+   waiter keeps its queue position and is woken for its own re-poll, so
+   FIFO order survives the veto.
 
    Timeout discovery is event-driven too: waiters join a global expiry
    FIFO at enqueue (the logical clock is monotonic and the timeout a
@@ -81,7 +81,6 @@ type t = {
   timeout : int; (* ticks a request may wait before being declared deadlocked *)
   stats : Bess_util.Stats.t;
   mutable n_waiters : int; (* live waiters across all entries, kept incrementally *)
-  mutable handoff : bool; (* grant-in-place on release vs wake-hint-only *)
   mutable wake_hook : (txn:int -> unit) option;
   mutable grant_filter : (txn:int -> resource -> Lock_mode.t -> bool) option;
   (* Every waiter, in enqueue (= deadline) order; cancelled nodes are
@@ -94,7 +93,7 @@ type t = {
   wait_spans : (int * resource, Span.handle) Hashtbl.t;
 }
 
-let create ?(timeout = 1000) ?(handoff = true) () =
+let create ?(timeout = 1000) () =
   let stats = Bess_util.Stats.create () in
   (* Eager: the wait and wake-to-grant distributions are part of every
      report even when no request ever blocked. *)
@@ -103,7 +102,7 @@ let create ?(timeout = 1000) ?(handoff = true) () =
   Bess_obs.Registry.register_stats "lock" stats;
   let t =
     { table = Hashtbl.create 256; held = Hashtbl.create 32; waits = Hashtbl.create 32;
-      tick = 0; timeout; stats; n_waiters = 0; handoff; wake_hook = None;
+      tick = 0; timeout; stats; n_waiters = 0; wake_hook = None;
       grant_filter = None; expiry = Queue.create (); wait_spans = Hashtbl.create 16 }
   in
   Bess_obs.Registry.register_gauge "lock" "lock.table_size" (fun () ->
@@ -115,27 +114,24 @@ let create ?(timeout = 1000) ?(handoff = true) () =
 
 let stats t = t.stats
 
-(* Wake waiters whose deadline has passed (handoff mode only — with it
-   off, guard re-polls discover timeouts, the pre-handoff behaviour).
-   The expiry queue is in deadline order, so this pops an expired or
-   cancelled front and stops at the first live waiter still inside its
-   budget: O(1) amortised per enqueue. The wake hook only schedules the
-   parked client's re-poll (which then observes [`Timeout]); under
-   [`Graph] detection the wake is spurious but harmless. *)
+(* Wake waiters whose deadline has passed. The expiry queue is in
+   deadline order, so this pops an expired or cancelled front and stops
+   at the first live waiter still inside its budget: O(1) amortised per
+   enqueue. The wake hook only schedules the parked client's re-poll
+   (which then observes [`Timeout]); under [`Graph] detection the wake
+   is spurious but harmless. *)
 let check_expiry t =
-  if t.handoff then begin
-    let continue_ = ref true in
-    while !continue_ do
-      match Queue.peek_opt t.expiry with
-      | Some w when w.w_cancelled -> ignore (Queue.pop t.expiry)
-      | Some w when t.tick - w.w_enqueued > t.timeout ->
-          ignore (Queue.pop t.expiry);
-          w.w_woken <- t.tick;
-          Bess_util.Stats.incr t.stats "lock.expiry_wakes";
-          (match t.wake_hook with None -> () | Some f -> f ~txn:w.w_txn)
-      | _ -> continue_ := false
-    done
-  end
+  let continue_ = ref true in
+  while !continue_ do
+    match Queue.peek_opt t.expiry with
+    | Some w when w.w_cancelled -> ignore (Queue.pop t.expiry)
+    | Some w when t.tick - w.w_enqueued > t.timeout ->
+        ignore (Queue.pop t.expiry);
+        w.w_woken <- t.tick;
+        Bess_util.Stats.incr t.stats "lock.expiry_wakes";
+        (match t.wake_hook with None -> () | Some f -> f ~txn:w.w_txn)
+    | _ -> continue_ := false
+  done
 
 let tick t =
   t.tick <- t.tick + 1;
@@ -143,8 +139,6 @@ let tick t =
 
 let now t = t.tick
 let n_waiters t = t.n_waiters
-let handoff t = t.handoff
-let set_handoff t b = t.handoff <- b
 let set_wake_hook t f = t.wake_hook <- f
 let set_grant_filter t f = t.grant_filter <- f
 
@@ -274,10 +268,10 @@ let enqueue_waiter t e ~txn r mode =
   Hashtbl.replace (txn_set t.waits txn) r ()
 
 (* A request that waited is about to be granted: record how long it sat
-   in the queue, and — if a release woke it — the dead time between that
-   wake and the grant, in logical ticks. Handoff grants set [w_woken] to
-   the current tick first, so their dead time is identically zero; poll
-   grants pay the gap between the waking release and the next re-poll. *)
+   in the queue, and — if it was woken — the dead time between that wake
+   and the grant, in logical ticks. Handoff grants set [w_woken] to the
+   current tick first, so their dead time is identically zero; a waiter
+   woken by a veto or an expiry pays the gap until its own re-poll. *)
 let observe_wait t e ~txn =
   match Hashtbl.find_opt e.by_txn txn with
   | Some w ->
@@ -448,24 +442,11 @@ let grant_scan t e r =
    transactions queued behind them must be woken or they stall forever,
    since no release on those resources is coming).
 
-   With handoff on, the returned list is the transactions *granted* in
-   place (their wake hooks already fired); with it off, the transactions
-   that may now be grantable, for the scheduler to re-poll. *)
+   Returns the transactions granted in place, in grant order (their
+   wake hooks already fired). *)
 let release_all t ~txn =
-  let wake = ref [] in
-  let woken = Hashtbl.create 16 in
+  let granted = ref [] in
   let scanned = ref 0 in
-  let note_woken w_txn =
-    if not (Hashtbl.mem woken w_txn) then begin
-      Hashtbl.add woken w_txn ();
-      wake := w_txn :: !wake
-    end
-  in
-  let wake_live e =
-    iter_live e (fun w ->
-        w.w_woken <- t.tick;
-        note_woken w.w_txn)
-  in
   let visit r =
     incr scanned;
     match Hashtbl.find_opt t.table r with
@@ -474,7 +455,7 @@ let release_all t ~txn =
         e.granted <- List.remove_assoc txn e.granted;
         remove_waiter t e ~txn r;
         end_wait t ~txn r ~outcome:"released";
-        if t.handoff then List.iter note_woken (grant_scan t e r) else wake_live e;
+        granted := List.rev_append (grant_scan t e r) !granted;
         if entry_empty e then Hashtbl.remove t.table r
   in
   (match Hashtbl.find_opt t.held txn with
@@ -490,7 +471,7 @@ let release_all t ~txn =
       List.iter visit rs);
   Bess_util.Stats.incr t.stats "lock.release_alls";
   Bess_util.Stats.add t.stats "lock.release_scan_entries" !scanned;
-  List.rev !wake
+  List.rev !granted
 
 (* Drop one resource early (used by callback processing, not by 2PL).
    Successors are handed the lock in place here too, so an early release
@@ -500,7 +481,7 @@ let release_one t ~txn r =
   | None -> ()
   | Some e ->
       e.granted <- List.remove_assoc txn e.granted;
-      if t.handoff then ignore (grant_scan t e r);
+      ignore (grant_scan t e r);
       if entry_empty e then Hashtbl.remove t.table r);
   match Hashtbl.find_opt t.held txn with
   | Some s ->
@@ -514,14 +495,3 @@ let held_resources t ~txn =
   | None -> []
 
 let n_locks t = Hashtbl.length t.table
-
-(* Waiters blocked longer than the timeout, under timeout-based detection
-   (the paper: "timeouts are used for distributed deadlock detection"). *)
-let expired_waiters t =
-  Hashtbl.fold
-    (fun _ e acc ->
-      let acc = ref acc in
-      iter_live e (fun w -> if t.tick - w.w_enqueued > t.timeout then acc := w.w_txn :: !acc);
-      !acc)
-    t.table []
-  |> List.sort_uniq compare

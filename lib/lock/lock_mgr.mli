@@ -1,17 +1,14 @@
 (** The lock table: strict two-phase locking with FIFO wait queues and
     wake-on-release grant handoff.
 
-    Cooperative (non-blocking): {!acquire} returns a verdict; with
-    handoff enabled (the default) a {!release_all} elsewhere grants the
-    maximal compatible FIFO prefix of each affected queue *in place* —
-    the lock transfers before any new acquirer can barge — and fires the
-    registered wake hook per granted transaction, so blocked callers
-    park on the wake instead of poll-retrying; waiters whose timeout
-    budget expires are woken the same way, so a doomed request discovers
-    [`Timeout] on its immediate re-poll instead of sleeping until a
-    guard timer fires. With handoff disabled, blocked callers re-poll
-    after the release (the pre-handoff behaviour, kept for ablation).
-    Deadlocks are detected either by an exact waits-for-graph cycle
+    Cooperative (non-blocking): {!acquire} returns a verdict; a
+    {!release_all} elsewhere grants the maximal compatible FIFO prefix
+    of each affected queue *in place* — the lock transfers before any
+    new acquirer can barge — and fires the registered wake hook per
+    granted transaction, so blocked callers park on the wake instead of
+    poll-retrying; waiters whose timeout budget expires are woken the
+    same way, so a doomed request discovers [`Timeout] on its immediate
+    re-poll instead of sleeping until a guard timer fires. Deadlocks are detected either by an exact waits-for-graph cycle
     check or by timeouts on a logical clock (the paper's distributed
     mechanism). *)
 
@@ -26,10 +23,9 @@ val pp_resource : Format.formatter -> resource -> unit
 
 type t
 
-(** [create ~timeout ~handoff ()]: [timeout] is in logical ticks for the
-    [`Timeout] detector; [handoff] (default [true]) selects grant-in-
-    place on release vs wake-hint-only re-polling. *)
-val create : ?timeout:int -> ?handoff:bool -> unit -> t
+(** [create ~timeout ()]: [timeout] is in logical ticks for the
+    [`Timeout] detector. *)
+val create : ?timeout:int -> unit -> t
 
 val stats : t -> Bess_util.Stats.t
 
@@ -41,9 +37,6 @@ val now : t -> int
 (** Live waiters across all entries, maintained incrementally (also
     backs the [lock.waiters] gauge). *)
 val n_waiters : t -> int
-
-val handoff : t -> bool
-val set_handoff : t -> bool -> unit
 
 (** Fired once per transaction granted in place by a release (in grant
     order), and once per waiter whose timeout budget expires (so its
@@ -79,17 +72,13 @@ val held_mode : t -> txn:int -> resource -> Lock_mode.t option
 val holds : t -> txn:int -> resource -> Lock_mode.t -> bool
 
 (** Strict 2PL release at commit/abort; also purges the transaction's
-    queued waiters everywhere. With handoff on, returns the transactions
-    granted in place (their wake hooks already fired); with it off, the
-    transactions that may now be grantable, for the caller to re-poll. *)
+    queued waiters everywhere. Returns the transactions granted in place
+    (their wake hooks already fired). *)
 val release_all : t -> txn:int -> int list
 
-(** Drop one resource early (callback processing, not 2PL). Handoff
-    applies here too: successors are granted in place. *)
+(** Drop one resource early (callback processing, not 2PL). Successors
+    are granted in place here too. *)
 val release_one : t -> txn:int -> resource -> unit
 
 val held_resources : t -> txn:int -> resource list
 val n_locks : t -> int
-
-(** Waiters blocked longer than the timeout (timeout-based detection). *)
-val expired_waiters : t -> int list

@@ -18,13 +18,10 @@
    [Server.lock_async] and hops back onto the heap only when the lock
    has already been transferred to it in place ([sched.lock_parks] /
    [sched.lock_wakeups]). A decorrelated-jitter timer is kept per park
-   purely as a [`Timeout]/[`Deadlock] recovery guard — with handoff on
-   it starts an order of magnitude later than a poll interval and
-   almost never fires ([sched.lock_retries]); with handoff off (the
-   pre-handoff ablation, [Server.set_lock_handoff]) no wake ever comes
-   and the same guard degenerates into the old bounded-backoff poll
-   loop, now jittered so equal-seed cohorts cannot thundering-herd in
-   lockstep.
+   purely as a [`Timeout]/[`Deadlock] recovery guard — it starts an
+   order of magnitude later than a poll interval and almost never fires
+   ([sched.lock_retries]); its jitter keeps equal-seed cohorts from
+   thundering-herding in lockstep when it does.
 
    Determinism: per-client splitmix64 streams split off the config seed
    in client order (a separate per-client jitter stream keeps guard
@@ -180,16 +177,15 @@ let run ?sched server ~pages cfg =
           c_backoff_ns = 0 })
   in
   let churn_roll c = cfg.churn > 0.0 && Prng.float c.c_prng < cfg.churn in
-  let handoff = Bess.Server.lock_handoff server in
   (* Guard-timer delay with decorrelated jitter (base..3x previous,
      capped), drawn from the client's own jitter stream: equal-seed
      cohorts no longer re-poll in lockstep, yet every delay is a pure
-     function of the master seed. With handoff the timer is only
-     [`Timeout]/[`Deadlock] recovery behind a guaranteed wake, so it
-     starts 16x later and escalates to a matching cap. *)
+     function of the master seed. The timer is only [`Timeout]/[`Deadlock]
+     recovery behind a guaranteed wake, so it starts 16x later than the
+     configured retry delay and escalates to a matching cap. *)
   let next_backoff c ~retries =
     if retries = 0 then c.c_backoff_ns <- 0;
-    let base = cfg.lock_retry_ns * if handoff then 16 else 1 in
+    let base = cfg.lock_retry_ns * 16 in
     let cap = base * 8 in
     let prev = Stdlib.max base c.c_backoff_ns in
     let d = Stdlib.min cap (base + Prng.int c.c_jitter (Stdlib.max 1 ((prev * 3) - base))) in
@@ -298,8 +294,8 @@ let run ?sched server ~pages cfg =
           (* Park on the wake; the timer below is only the recovery
              guard. It re-polls so the lock manager's logical clock can
              return the [`Timeout] verdict, and it is the sole path
-             forward for waits no wake can resolve (handoff off, or a
-             block caused by cached-copy callbacks alone). *)
+             forward for waits no wake can resolve (a block caused by
+             cached-copy callbacks alone). *)
           Stats.incr st "sched.lock_parks";
           a.A.a_backoff <-
             Span.start ~attrs:[ ("retries", string_of_int retries) ] ~kind:"client.backoff" ();

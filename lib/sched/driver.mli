@@ -9,9 +9,7 @@
     wake-on-release handoff ([Bess.Server.lock_async]) and resume the
     moment the lock is transferred to them in place; a
     decorrelated-jitter guard timer survives per park solely for
-    [`Timeout]/[`Deadlock] recovery (with handoff disabled via
-    [Bess.Server.set_lock_handoff] it degenerates into the old bounded
-    backoff poll loop — the e16 ablation). Proven deadlocks and timeout
+    [`Timeout]/[`Deadlock] recovery. Proven deadlocks and timeout
     suspicions abort and consume the attempt; [sched.lock_parks],
     [sched.lock_wakeups] and [sched.lock_retries] count the park/wake
     traffic. Session churn disconnects clients (optionally while
@@ -33,7 +31,7 @@ type config = {
   think_ns : int;         (** mean think time (exponential) *)
   txn_work_ns : int;      (** modeled in-transaction work between lock and commit *)
   ack_delay_ns : int;     (** delay before a committer polls its durability ticket *)
-  lock_retry_ns : int;    (** base guard-timer delay for blocked lock requests *)
+  lock_retry_ns : int;    (** guard-timer unit: a parked request's guard starts at 16x this *)
   max_lock_retries : int; (** guard-fire budget before a blocked attempt gives up *)
   churn : float;          (** per-decision-point probability of disconnecting *)
   reconnect_ns : int;     (** delay before a churned client reconnects *)
