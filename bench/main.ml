@@ -16,6 +16,7 @@ module Prng = Bess_util.Prng
 module Stats = Bess_util.Stats
 module Page_id = Bess_cache.Page_id
 module Fault = Bess_fault.Fault
+module Json = Bess_obs.Json
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
@@ -1141,19 +1142,12 @@ let e13 () =
 per window (%s)"
     !acked_n !violations (List.length gauge_names)
     (String.concat ", " gauge_names);
-  let series_json = Bess_obs.Series.json_of series in
-  Report.add_section "e13_series" series_json;
   (* Timestamped artifact so the perf trajectory accumulates comparable
      runs (the bench_report.json section is overwritten each time). *)
-  let stamp =
-    Report.write_bench ~experiment:"e13"
-      [ ("fault_seed", string_of_int !fault_seed);
-        ("profile", Bess_obs.Registry.json_string profile);
-        ("clients", string_of_int n_clients); ("rounds", string_of_int rounds);
-        ("acked", string_of_int !acked_n); ("violations", string_of_int !violations);
-        ("series", series_json) ]
-  in
-  Report.note "series written to BENCH_e13.json (%s) and bench_report.json#e13_series" stamp
+  Report.publish ~experiment:"e13" ~section:"e13_series"
+    [ ("fault_seed", Int !fault_seed); ("profile", Str profile); ("clients", Int n_clients);
+      ("rounds", Int rounds); ("acked", Int !acked_n); ("violations", Int !violations) ]
+    ("series", Bess_obs.Series.json_of series)
 
 (* ---- Shared closed-loop sweep point (E14, E15, E18) ------------------------ *)
 
@@ -1279,7 +1273,7 @@ let e14 () =
           :: !convoys;
       let open Bess_sched.Driver in
       series_sections :=
-        Printf.sprintf "\"clients_%d\":%s" n_clients (Bess_obs.Series.json_of series)
+        (Printf.sprintf "clients_%d" n_clients, Bess_obs.Series.json_of series)
         :: !series_sections;
       rows :=
         [
@@ -1329,15 +1323,10 @@ let e14 () =
     (Printf.sprintf "%d commits, %d indeterminate, %d fault fires, %d leaked locks"
        chaos.result.Bess_sched.Driver.r_commits chaos.result.Bess_sched.Driver.r_indeterminate
        (snd chaos.obs) chaos.leaked);
-  let series_json = "{" ^ String.concat "," (List.rev !series_sections) ^ "}" in
-  Report.add_section "e14_series" series_json;
-  let stamp =
-    Report.write_bench ~experiment:"e14"
-      [ ("seed", string_of_int seed); ("clients", Report.json_ints sweep_clients);
-        ("deterministic", string_of_bool deterministic);
-        ("chaos_leaked_locks", string_of_int chaos.leaked); ("series", series_json) ]
-  in
-  Report.note "series written to BENCH_e14.json (%s) and bench_report.json#e14_series" stamp
+  Report.publish ~experiment:"e14" ~section:"e14_series"
+    [ ("seed", Int seed); ("clients", Report.ints sweep_clients);
+      ("deterministic", Bool deterministic); ("chaos_leaked_locks", Int chaos.leaked) ]
+    ("series", Json.Obj (List.rev !series_sections))
 
 (* Tail-latency attribution: the e14 client sweep re-run with span
    tracing, the critical-path sink and the SLO watch plane installed.
@@ -1414,23 +1403,22 @@ let e15 () =
         if total = 0 then 0.0 else 100.0 *. float_of_int ns /. float_of_int total
       in
       let share name = frac (Option.value ~default:0 (List.assoc_opt name totals)) in
+      let blame (name, ns) =
+        let frac = if total = 0 then 0.0 else float_of_int ns /. float_of_int total in
+        (name, Json.Obj [ ("ns", Int ns); ("frac", Json.fixed 4 frac) ])
+      in
       point_sections :=
-        Printf.sprintf "\"clients_%d\":{\"txns\":%d,\"total_ns\":%d,\"gap_ns\":%d,%s,\"slo\":{\"checks\":%d,\"breaches\":%d,%s}}"
-          n_clients (Bess_obs.Critpath.txns cp) total gap
-          (String.concat ","
-             (List.map
-                (fun (name, ns) ->
-                  Printf.sprintf "%s:{\"ns\":%d,\"frac\":%.4f}"
-                    (Bess_obs.Registry.json_string name) ns
-                    (if total = 0 then 0.0
-                     else float_of_int ns /. float_of_int total))
-                totals))
-          (Bess_obs.Slo.checks slo) (Bess_obs.Slo.breaches slo)
-          (String.concat ","
-             (List.map
-                (fun (name, n) ->
-                  Printf.sprintf "%s:%d" (Bess_obs.Registry.json_string name) n)
-                (Bess_obs.Slo.report slo)))
+        ( Printf.sprintf "clients_%d" n_clients,
+          Json.Obj
+            ([ ("txns", Json.Int (Bess_obs.Critpath.txns cp)); ("total_ns", Int total);
+               ("gap_ns", Int gap) ]
+            @ List.map blame totals
+            @ [ ( "slo",
+                  Obj
+                    ([ ("checks", Json.Int (Bess_obs.Slo.checks slo));
+                       ("breaches", Int (Bess_obs.Slo.breaches slo)) ]
+                    @ List.map (fun (name, n) -> (name, Json.Int n)) (Bess_obs.Slo.report slo))
+                ) ]) )
         :: !point_sections;
       rows :=
         ([ Report.count n_clients; Report.count p.result.Bess_sched.Driver.r_commits;
@@ -1467,18 +1455,10 @@ let e15 () =
      else
        Printf.sprintf "%s vs %s; breaches %d vs %d" !fp_1000 fp2 !breaches_1000
          (Bess_obs.Slo.breaches slo2));
-  let json =
-    Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections))
-  in
-  Report.add_section "e15" json;
-  let stamp =
-    Report.write_bench ~experiment:"e15"
-      [ ("seed", string_of_int seed); ("clients", Report.json_ints sweep_clients);
-        ("budget_ns", string_of_int budget_ns);
-        ("deterministic", string_of_bool deterministic);
-        ("conserved", string_of_bool !conserved); ("points", json) ]
-  in
-  Report.note "blame breakdown written to BENCH_e15.json (%s) and bench_report.json#e15" stamp
+  Report.publish ~experiment:"e15" ~section:"e15"
+    [ ("seed", Int seed); ("clients", Report.ints sweep_clients); ("budget_ns", Int budget_ns);
+      ("deterministic", Bool deterministic); ("conserved", Bool !conserved) ]
+    ("points", Json.Obj (List.rev !point_sections))
 
 (* ---- E17: sharded presumed-abort 2PC fleets ------------------------------ *)
 
@@ -1581,15 +1561,15 @@ let e17 () =
     }
   in
   let point_json p =
-    Printf.sprintf
-      "{\"commits\":%d,\"cross_commits\":%d,\"aborts\":%d,\"give_ups\":%d,\"indeterminate\":%d,\"throughput\":%.1f,\"msgs_per_commit\":%.2f,\"twopc_blame_frac\":%.4f,\"leaked_locks\":%d,\"in_doubt\":%d,%s,\"fingerprint\":%s}"
-      p.s_commits p.s_cross p.s_aborts p.s_give_ups p.s_indet p.s_tp p.s_msgs_per_commit
-      p.s_twopc_frac p.s_leaked p.s_in_doubt
-      (String.concat ","
-         (List.map
-            (fun (k, v) -> Printf.sprintf "%s:%d" (Bess_obs.Registry.json_string k) v)
-            p.s_counters))
-      (Bess_obs.Registry.json_string p.s_fp)
+    Json.Obj
+      ([ ("commits", Json.Int p.s_commits); ("cross_commits", Int p.s_cross);
+         ("aborts", Int p.s_aborts); ("give_ups", Int p.s_give_ups);
+         ("indeterminate", Int p.s_indet); ("throughput", Json.fixed 1 p.s_tp);
+         ("msgs_per_commit", Json.fixed 2 p.s_msgs_per_commit);
+         ("twopc_blame_frac", Json.fixed 4 p.s_twopc_frac); ("leaked_locks", Int p.s_leaked);
+         ("in_doubt", Int p.s_in_doubt) ]
+      @ List.map (fun (k, v) -> (k, Json.Int v)) p.s_counters
+      @ [ ("fingerprint", Json.Str p.s_fp) ])
   in
   let rows = ref [] in
   let point_sections = ref [] in
@@ -1603,7 +1583,7 @@ let e17 () =
       if p.s_cross = 0 then cross_ok := false;
       if p.s_leaked <> 0 || p.s_in_doubt <> 0 then clean_ok := false;
       point_sections :=
-        Printf.sprintf "\"shards_%d_clients_%d\":%s" n_shards n_clients (point_json p)
+        (Printf.sprintf "shards_%d_clients_%d" n_shards n_clients, point_json p)
         :: !point_sections;
       rows :=
         [
@@ -1660,18 +1640,11 @@ let e17 () =
     !fault_seed chaos.s_commits chaos.s_indet
     (Option.value ~default:0 (List.assoc_opt "2pc.redrives" chaos.s_counters))
     chaos.s_leaked chaos.s_in_doubt;
-  let json = Printf.sprintf "{%s}" (String.concat "," (List.rev !point_sections)) in
-  Report.add_section "e17" json;
-  let stamp =
-    Report.write_bench ~experiment:"e17"
-      [ ("seed", string_of_int seed); ("deterministic", string_of_bool deterministic);
-        ("cross_shard_everywhere", string_of_bool !cross_ok);
-        ("quiesced_clean", string_of_bool !clean_ok);
-        ("chaos_leaked_locks", string_of_int chaos.s_leaked);
-        ("chaos_in_doubt", string_of_int chaos.s_in_doubt); ("points", json) ]
-  in
-  Report.note "sharded 2PC sweep written to BENCH_e17.json (%s) and bench_report.json#e17"
-    stamp
+  Report.publish ~experiment:"e17" ~section:"e17"
+    [ ("seed", Int seed); ("deterministic", Bool deterministic);
+      ("cross_shard_everywhere", Bool !cross_ok); ("quiesced_clean", Bool !clean_ok);
+      ("chaos_leaked_locks", Int chaos.s_leaked); ("chaos_in_doubt", Int chaos.s_in_doubt) ]
+    ("points", Json.Obj (List.rev !point_sections))
 
 (* ---- E18: the memory X-ray ------------------------------------------------ *)
 
@@ -1779,12 +1752,12 @@ let e18 () =
           end;
           if gated && cache_slots = gate_size then begin
             gate_fp := fp;
-            gate_mrc := mrc_json;
-            gate_heat := heat_json
+            gate_mrc := Json.render mrc_json;
+            gate_heat := Json.render heat_json
           end;
           sections :=
-            Printf.sprintf "\"skew%.2f_slots%d\":{\"mrc\":%s,\"heat\":%s}" skew cache_slots
-              mrc_json heat_json
+            ( Printf.sprintf "skew%.2f_slots%d" skew cache_slots,
+              Json.Obj [ ("mrc", mrc_json); ("heat", heat_json) ] )
             :: !sections;
           rows :=
             [
@@ -1823,7 +1796,9 @@ let e18 () =
      this holds at any absolute clock offset). *)
   let _, _, _, _, _, fp2, _, x2 = run_point ~xray:true ~skew:gate_skew ~cache_slots:gate_size in
   let mrc2, heat2 = match x2 with Some (_, m, h) -> (m, h) | None -> assert false in
-  let deterministic = String.equal !gate_mrc mrc2 && String.equal !gate_heat heat2 in
+  let deterministic =
+    String.equal !gate_mrc (Json.render mrc2) && String.equal !gate_heat (Json.render heat2)
+  in
   Report.gate "e18: same-seed byte-identical MRC/heat JSON" deterministic "";
   (* Observer effect: the same point with the X-ray never installed must
      produce bit-identical sched/server/cache counter snapshots. *)
@@ -1834,16 +1809,10 @@ let e18 () =
   Report.gate
     "e18: zero observer effect (counter fingerprints bit-identical without the X-ray)"
     zero_cost "";
-  let json = Printf.sprintf "{%s}" (String.concat "," (List.rev !sections)) in
-  Report.add_section "e18" json;
-  let stamp =
-    Report.write_bench ~experiment:"e18"
-      [ ("seed", string_of_int seed); ("accuracy_ok", string_of_bool !accuracy_ok);
-        ("deterministic", string_of_bool deterministic);
-        ("zero_cost", string_of_bool zero_cost); ("points", json) ]
-  in
-  Report.note "memory X-ray sweep written to BENCH_e18.json (%s) and bench_report.json#e18"
-    stamp
+  Report.publish ~experiment:"e18" ~section:"e18"
+    [ ("seed", Int seed); ("accuracy_ok", Bool !accuracy_ok);
+      ("deterministic", Bool deterministic); ("zero_cost", Bool zero_cost) ]
+    ("points", Json.Obj (List.rev !sections))
 
 (* ---- F1: segment and object structure (Figure 1) ------------------------- *)
 
@@ -2491,11 +2460,10 @@ let () =
           Fmt.pr "%a@." (Bess_obs.Span.pp_tree c) root
       | None -> Printf.printf "\nno spans collected.\n");
       let path = Option.value ~default:"bench_trace.json" !chrome in
-      let oc = open_out path in
-      output_string oc (Bess_obs.Span.to_chrome_json c);
-      close_out oc;
+      Report.write_artifact path (Bess_obs.Span.to_chrome_json c);
       Printf.printf "chrome trace (chrome://tracing, about:tracing or ui.perfetto.dev): %s\n" path)
     collector;
+  Report.check_artifacts ();
   (* Gate failures fail the run, after every artifact is written, so the
      smoke alias (and CI) cannot pass over a FAILED line. *)
   match List.rev !Report.failed_gates with

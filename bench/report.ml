@@ -61,29 +61,42 @@ let gate name ok detail =
   note "%s: %s%s" name (if ok then "OK" else "FAILED")
     (if detail = "" then "" else " (" ^ detail ^ ")")
 
-(* ---- BENCH artifacts ---------------------------------------------------------- *)
+(* ---- JSON artifacts ----------------------------------------------------------- *)
+
+module Json = Bess_obs.Json
+
+(* Every JSON file the harness writes goes through [write_artifact], so
+   [check_artifacts] can read each one back before the run ends. *)
+let artifacts : string list ref = ref []
+
+let write_artifact path j =
+  Out_channel.with_open_bin path (fun oc -> output_string oc (Json.render j ^ "\n"));
+  artifacts := path :: !artifacts
+
+let check_artifacts () =
+  let bad =
+    List.filter_map
+      (fun path ->
+        match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+        | Ok _ -> None
+        | Error e -> Some (path ^ ": " ^ e))
+      (List.rev !artifacts)
+  in
+  gate "artifacts parse" (bad = [])
+    (if bad = [] then Printf.sprintf "%d files" (List.length !artifacts)
+     else String.concat "; " bad)
 
 (* Write the timestamped BENCH_<experiment>.json trajectory artifact:
-   the experiment name and wall-clock stamp, then [fields] in order (each
-   value already rendered JSON). Returns the stamp. *)
+   the experiment name and wall-clock stamp, then [fields] in order.
+   Returns the stamp. *)
 let write_bench ~experiment fields =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-  in
-  let oc = open_out (Printf.sprintf "BENCH_%s.json" experiment) in
-  Printf.fprintf oc "{\"experiment\":%s,\"wall_time\":%s"
-    (Bess_obs.Registry.json_string experiment)
-    (Bess_obs.Registry.json_string stamp);
-  List.iter
-    (fun (k, v) -> Printf.fprintf oc ",%s:%s" (Bess_obs.Registry.json_string k) v)
-    fields;
-  output_string oc "}\n";
-  close_out oc;
+  let stamp = Bess_obs.Flightrec.iso8601 (Unix.gettimeofday ()) in
+  write_artifact
+    (Printf.sprintf "BENCH_%s.json" experiment)
+    (Obj (("experiment", Json.Str experiment) :: ("wall_time", Str stamp) :: fields));
   stamp
 
-let json_ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
+let ints l = Json.Arr (List.map (fun i -> Json.Int i) l)
 
 (* ---- Observability report --------------------------------------------- *)
 
@@ -93,7 +106,7 @@ let json_ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
 
 type observed = {
   obs_name : string;
-  obs_elapsed_ns : float;
+  obs_elapsed_ns : int;
   obs_diff : Bess_obs.Registry.snapshot;
 }
 
@@ -105,7 +118,7 @@ let with_observed name f =
   let r =
     Bess_obs.Span.with_span ~kind:"bench.workload" ~attrs:[ ("name", name) ] f
   in
-  let elapsed = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let elapsed = Float.to_int (Float.round ((Unix.gettimeofday () -. t0) *. 1e9)) in
   let after = Bess_obs.Registry.snapshot () in
   observations :=
     { obs_name = name;
@@ -117,9 +130,9 @@ let with_observed name f =
 (* Per-span-kind latency summary from the installed collector's
    histograms ("span.<kind>" under the registry's "span" prefix), in
    simulated nanoseconds. Empty when tracing is off. *)
-let span_breakdown_json () =
+let span_breakdown () =
   match Bess_obs.Span.installed () with
-  | None -> None
+  | None -> []
   | Some c ->
       let h = Bess_util.Stats.histograms (Bess_obs.Span.stats c) in
       let entries =
@@ -132,46 +145,41 @@ let span_breakdown_json () =
                   String.sub name 5 (String.length name - 5)
                 else name
               in
-              let p q = Bess_util.Histogram.percentile hist q in
+              let module H = Bess_util.Histogram in
+              let p q = Json.Int (H.percentile hist q) in
               Some
-                (Printf.sprintf
-                   "%s:{\"count\":%d,\"sum_ns\":%d,\"mean_ns\":%.1f,\"p50_ns\":%d,\"p90_ns\":%d,\"p99_ns\":%d,\"max_ns\":%d}"
-                   (Bess_obs.Registry.json_string kind)
-                   (Bess_util.Histogram.count hist)
-                   (Bess_util.Histogram.sum hist)
-                   (Bess_util.Histogram.mean hist)
-                   (p 50.0) (p 90.0) (p 99.0)
-                   (Bess_util.Histogram.max hist)))
+                ( kind,
+                  Json.Obj
+                    [ ("count", Int (H.count hist)); ("sum_ns", Int (H.sum hist));
+                      ("mean_ns", Json.fixed 1 (H.mean hist)); ("p50_ns", p 50.0);
+                      ("p90_ns", p 90.0); ("p99_ns", p 99.0); ("max_ns", Int (H.max hist)) ] ))
           (List.sort compare h)
       in
-      Some (Printf.sprintf "{%s}" (String.concat "," entries))
+      [ ("span_breakdown", Json.Obj entries) ]
 
-(* Extra top-level JSON sections ("e13_series": {...}) contributed by
-   experiments; each value must already be rendered JSON. *)
-let extra_sections : (string * string) list ref = ref []
+(* Extra top-level sections ("e13_series": {...}) contributed by
+   experiments. *)
+let extra_sections : (string * Json.t) list ref = ref []
 let add_section name json = extra_sections := (name, json) :: !extra_sections
 
+(* An experiment's result, [(key, json)]: the report section [section]
+   and the last field of BENCH_<experiment>.json, after [fields]. *)
+let publish ~experiment ~section fields (key, json) =
+  add_section section json;
+  let stamp = write_bench ~experiment (fields @ [ (key, json) ]) in
+  note "%s written to BENCH_%s.json (%s) and the report's %s section" key experiment stamp
+    section
+
 let write_json path =
-  let oc = open_out path in
-  output_string oc "{\"workloads\":[";
-  List.iteri
-    (fun i o ->
-      if i > 0 then output_string oc ",";
-      Printf.fprintf oc "{\"name\":%s,\"elapsed_ns\":%.0f,\"observed\":%s}"
-        (Bess_obs.Registry.json_string o.obs_name)
-        o.obs_elapsed_ns
-        (Bess_obs.Registry.json_of_snapshot o.obs_diff))
-    (List.rev !observations);
-  output_string oc "]";
-  (match span_breakdown_json () with
-  | Some b -> Printf.fprintf oc ",\"span_breakdown\":%s" b
-  | None -> ());
-  List.iter
-    (fun (name, json) ->
-      Printf.fprintf oc ",%s:%s" (Bess_obs.Registry.json_string name) json)
-    (List.rev !extra_sections);
-  output_string oc "}\n";
-  close_out oc
+  let workload o =
+    Json.Obj
+      [ ("name", Str o.obs_name); ("elapsed_ns", Int o.obs_elapsed_ns);
+        ("observed", Bess_obs.Registry.json_of_snapshot o.obs_diff) ]
+  in
+  write_artifact path
+    (Obj
+       ((("workloads", Json.Arr (List.rev_map workload !observations)) :: span_breakdown ())
+       @ List.rev !extra_sections))
 
 (* Wall-clock timing of a thunk, median of [runs]. *)
 let time_ns ?(runs = 3) f =

@@ -27,6 +27,9 @@ let with_db dir f =
   let db = Bess.Db.open_dir ~db_id:1 dir in
   Fun.protect ~finally:(fun () -> Bess.Db.close db) (fun () -> f db)
 
+(* Every --json surface prints one rendered value on one line. *)
+let print_json j = print_endline (Bess_obs.Json.render j)
+
 (* ---- create ---- *)
 
 let create_cmd =
@@ -214,7 +217,7 @@ let stats_cmd =
         Bess.Session.commit s;
         let snap = Bess_obs.Registry.snapshot () in
         if prom then print_string (Bess_obs.Registry.prom_of_snapshot snap)
-        else if json then print_string (Bess_obs.Registry.json_of_snapshot snap ^ "\n")
+        else if json then print_json (Bess_obs.Registry.json_of_snapshot snap)
         else begin
           Fmt.pr "%a@." Bess_obs.Registry.pp_snapshot snap;
           match Bess.Event.trace (Bess.Session.hooks s) with
@@ -266,9 +269,8 @@ let trace_cmd =
         Bess_obs.Span.finish_all c;
         (match chrome with
         | Some path ->
-            let oc = open_out path in
-            output_string oc (Bess_obs.Span.to_chrome_json c);
-            close_out oc;
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc (Bess_obs.Json.render (Bess_obs.Span.to_chrome_json c) ^ "\n"));
             Printf.printf "wrote %d spans to %s\n" (List.length (Bess_obs.Span.to_list c)) path
         | None -> ());
         if spans || chrome = None then
@@ -286,8 +288,8 @@ let trace_cmd =
 let print_window_report ?(json = false) samples ~limit =
   match samples with
   | _ when json ->
-      Printf.printf "{\"windows\":[%s]}\n"
-        (String.concat "," (List.map Bess_obs.Series.json_of_sample samples))
+      print_json
+        Bess_obs.Json.(Obj [ ("windows", Arr (List.map Bess_obs.Series.json_of_sample samples)) ])
   | [] -> Printf.printf "no windows sampled (no simulated time elapsed)\n"
   | _ ->
       let total_width =
@@ -542,7 +544,7 @@ let slow_cmd =
               Bess_obs.Span.install None)
             (fun () -> Bess_sched.Driver.run server ~pages:page_ids cfg)
         in
-        if json then print_string (Bess_obs.Critpath.json_of_slow cp ^ "\n")
+        if json then print_json (Bess_obs.Critpath.json_of_slow cp)
         else begin
           Printf.printf "slow: %S, %d clients x %d txns over %d pages, seed %d\n" workload
             clients txns (Array.length page_ids) seed;
@@ -634,7 +636,7 @@ let mrc_cmd =
     run_xray dir ~workload ~clients ~txns ~pages ~seed ~rate_bits ~heat_window_us:1000
       (fun ~cache ~memx ~result:r ~measured ~n_pages ->
         let mrc = Bess_cache.Memx.mrc memx in
-        if json then print_string (Bess_cache.Memx.json_of_mrc memx ^ "\n")
+        if json then print_json (Bess_cache.Memx.json_of_mrc memx)
         else begin
           Printf.printf "mrc: %S, %d clients x %d txns over %d pages, seed %d, rate 1/%d\n"
             workload clients txns n_pages seed (1 lsl rate_bits);
@@ -680,7 +682,7 @@ let heat_cmd =
     run_xray dir ~workload ~clients ~txns ~pages ~seed ~rate_bits:4 ~heat_window_us:window_us
       (fun ~cache:_ ~memx ~result:r ~measured ~n_pages ->
         let heat = Bess_cache.Memx.heat memx in
-        if json then print_string (Bess_cache.Memx.json_of_heat ~k:top memx ^ "\n")
+        if json then print_json (Bess_cache.Memx.json_of_heat ~k:top memx)
         else begin
           Printf.printf "heat: %S, %d clients x %d txns over %d pages, seed %d\n" workload
             clients txns n_pages seed;

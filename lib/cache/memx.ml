@@ -30,7 +30,7 @@ type t = {
 let key_label k = Fmt.str "%a" Page_id.pp (Page_id.of_key k)
 
 let json_of_mrc ?max_size t = Mrc.json_of ?max_size t.mrc
-let json_of_heat ?k t = Heat.json_of ?k:(match k with Some k -> Some k | None -> Some t.top_k) ~key_label t.heat
+let json_of_heat ?k t = Heat.json_of ~k:(Option.value k ~default:t.top_k) ~key_label t.heat
 
 let install ?(rate_bits = 4) ?(heat_window_ns = 1_000_000) ?(heat_max_keys = 4096)
     ?(top_k = 20) cache =

@@ -34,7 +34,7 @@ val predicted_hit_rate : t -> float
 val top_pages : t -> int -> (Page_id.t * int * int) list
 
 (** MRC curve JSON (deterministic; see {!Bess_obs.Mrc.json_of}). *)
-val json_of_mrc : ?max_size:int -> t -> string
+val json_of_mrc : ?max_size:int -> t -> Bess_obs.Json.t
 
 (** Heat top-[k] JSON with ["area:page"] labels (deterministic). *)
-val json_of_heat : ?k:int -> t -> string
+val json_of_heat : ?k:int -> t -> Bess_obs.Json.t

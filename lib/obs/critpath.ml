@@ -352,62 +352,25 @@ let fingerprint t =
 (* ---- JSON ------------------------------------------------------------------- *)
 
 let json_of_span (s : Span.span) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"id\":%d,\"kind\":%s,\"start_ns\":%d,\"end_ns\":%d" s.Span.id
-       (Registry.json_string s.Span.kind)
-       s.Span.start_ns s.Span.end_ns);
-  (match s.Span.parent with
-  | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent\":%d" p)
-  | None -> ());
-  Buffer.add_string buf ",\"attrs\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%s" (Registry.json_string k) (Registry.json_string v)))
-    s.Span.attrs;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let parent = match s.Span.parent with Some p -> [ ("parent", Json.Int p) ] | None -> [] in
+  Json.Obj
+    ([ ("id", Json.Int s.Span.id); ("kind", Str s.Span.kind); ("start_ns", Int s.Span.start_ns);
+       ("end_ns", Int s.Span.end_ns) ]
+    @ parent
+    @ [ ("attrs", Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.Span.attrs)) ])
 
 let json_of_slow_txn e =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"root\":";
-  Buffer.add_string buf (json_of_span e.st_root);
-  Buffer.add_string buf (Printf.sprintf ",\"total_ns\":%d,\"blame\":{" e.st_blame.b_total_ns);
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (phase_name p) e.st_blame.b_phase_ns.(phase_index p)))
-    phases;
-  Buffer.add_string buf "},\"spans\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (json_of_span s))
-    e.st_spans;
-  Buffer.add_string buf "],\"faults\":[";
-  List.iteri
-    (fun i (site, ordinal, ts) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"site\":%s,\"ordinal\":%d,\"ts_ns\":%d}" (Registry.json_string site)
-           ordinal ts))
-    e.st_faults;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let fault (site, ordinal, ts) =
+    Json.Obj [ ("site", Str site); ("ordinal", Int ordinal); ("ts_ns", Int ts) ]
+  in
+  let blame_ns p = e.st_blame.b_phase_ns.(phase_index p) in
+  Json.Obj
+    [ ("root", json_of_span e.st_root); ("total_ns", Int e.st_blame.b_total_ns);
+      ("blame", Obj (List.map (fun p -> (phase_name p, Json.Int (blame_ns p))) phases));
+      ("spans", Arr (List.map json_of_span e.st_spans));
+      ("faults", Arr (List.map fault e.st_faults)) ]
 
-let json_of_slow t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (json_of_slow_txn e))
-    t.slow;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+let json_of_slow t = Json.Arr (List.map json_of_slow_txn t.slow)
 
 (* ---- Installation ----------------------------------------------------------- *)
 

@@ -80,10 +80,8 @@ val slow : t -> slow_txn list
     runs; the bench determinism gate compares these. *)
 val fingerprint : t -> string
 
-val json_of_slow_txn : slow_txn -> string
-
 (** The reservoir as one JSON array (the ["slow_txns"] aux section). *)
-val json_of_slow : t -> string
+val json_of_slow : t -> Json.t
 
 (** Expose the attribution core for tests: decompose one root given
     its closed descendants and parked lock waits. *)

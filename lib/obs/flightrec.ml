@@ -36,9 +36,8 @@ let fault_firings () = !fault_source ()
 
 (* Auxiliary sections: other planes (the slow-transaction reservoir)
    register a named JSON producer here and it rides along in every
-   dump as a top-level ["aux_<name>"] member. The producer must return
-   one complete JSON value. *)
-let aux_sources : (string, unit -> string) Hashtbl.t = Hashtbl.create 4
+   dump as a top-level ["aux_<name>"] member. *)
+let aux_sources : (string, unit -> Json.t) Hashtbl.t = Hashtbl.create 4
 let set_aux_source name fn = Hashtbl.replace aux_sources name fn
 let clear_aux_source name = Hashtbl.remove aux_sources name
 
@@ -59,108 +58,64 @@ let take_last n l =
   let len = List.length l in
   if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
 
-(* The span's track (tid) is its root ancestor, matching
-   Span.to_chrome_json: each transaction renders as its own row. Only
-   the retained tail is dumped, so the root link is resolved against a
-   local index of that tail. *)
-let span_events buf ~max_spans col =
-  let spans = take_last max_spans (Span.to_list col) in
-  let by_id = Hashtbl.create 256 in
-  List.iter (fun (s : Span.span) -> Hashtbl.replace by_id s.Span.id s) spans;
-  let rec root_of (s : Span.span) =
-    match s.Span.parent with
-    | None -> s.Span.id
-    | Some pid -> (
-        match Hashtbl.find_opt by_id pid with None -> s.Span.id | Some p -> root_of p)
-  in
-  let first = ref true in
-  List.iter
-    (fun (s : Span.span) ->
-      if not !first then Buffer.add_char buf ',';
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"cat\":\"bess\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"id\":\"%d\""
-           (Registry.json_string s.Span.kind)
-           (float_of_int s.Span.start_ns /. 1000.0)
-           (float_of_int (Span.duration s) /. 1000.0)
-           (root_of s) s.Span.id);
-      (match s.Span.parent with
-      | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent\":\"%d\"" p)
-      | None -> ());
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf ",%s:%s" (Registry.json_string k) (Registry.json_string v)))
-        s.Span.attrs;
-      Buffer.add_string buf "}}")
-    spans;
-  not !first
-
-let fault_events buf ~had_spans =
-  let firings = !fault_source () in
-  let first = ref (not had_spans) in
-  List.iter
-    (fun (site, ordinal, ts_ns) ->
-      if not !first then Buffer.add_char buf ',';
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"cat\":\"fault\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"g\",\"pid\":1,\"tid\":0,\"args\":{\"ordinal\":%d}}"
-           (Registry.json_string ("fault:" ^ site))
-           (float_of_int ts_ns /. 1000.0)
-           ordinal))
-    firings
-
+(* Sections are gathered in artifact order: the series flush and the
+   aux producers run after the snapshot is taken. *)
 let render ?(max_spans = 2048) ?(max_events = 1024) ~reason () =
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf "{\"bess_flightrec\":1,";
-  Buffer.add_string buf (Printf.sprintf "\"reason\":%s," (Registry.json_string reason));
-  Buffer.add_string buf
-    (Printf.sprintf "\"wall_time\":%s," (Registry.json_string (iso8601 (Unix.gettimeofday ()))));
-  Buffer.add_string buf (Printf.sprintf "\"sim_now_ns\":%d," (Span.now_ns ()));
-  (* Spans + fault instants on one Chrome timeline. *)
-  Buffer.add_string buf "\"traceEvents\":[";
-  let had_spans =
-    match Span.installed () with
-    | None -> false
-    | Some col -> span_events buf ~max_spans col
+  let head =
+    [ ("bess_flightrec", Json.Int 1); ("reason", Str reason);
+      ("wall_time", Str (iso8601 (Unix.gettimeofday ()))); ("sim_now_ns", Int (Span.now_ns ())) ]
   in
-  fault_events buf ~had_spans;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ns\",";
+  (* Spans + fault instants on one Chrome timeline. Only the retained
+     tail is dumped, so each span's root (its track) is resolved against
+     a local index of that tail. *)
+  let spans =
+    match Span.installed () with
+    | None -> []
+    | Some col ->
+        let spans = take_last max_spans (Span.to_list col) in
+        let by_id = Hashtbl.create 256 in
+        List.iter (fun (s : Span.span) -> Hashtbl.replace by_id s.Span.id s) spans;
+        Span.chrome_events ~find:(Hashtbl.find_opt by_id) spans
+  in
+  let fault (site, ordinal, ts_ns) =
+    Json.Obj
+      [ ("name", Str ("fault:" ^ site)); ("cat", Str "fault"); ("ph", Str "i");
+        ("ts", Json.fixed 3 (float_of_int ts_ns /. 1000.0)); ("s", Str "g"); ("pid", Int 1);
+        ("tid", Int 0); ("args", Obj [ ("ordinal", Int ordinal) ]) ]
+  in
+  let faults = List.map fault (!fault_source ()) in
   (* Primitive event ring (Core.Event feed). *)
-  Buffer.add_string buf "\"events\":[";
-  List.iteri
-    (fun i (e : Trace.entry) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"seq\":%d,\"clock\":%d,\"kind\":%s,\"detail\":%s}" e.Trace.seq
-           e.Trace.clock
-           (Registry.json_string e.Trace.kind)
-           (Registry.json_string e.Trace.detail)))
-    (take_last max_events (Trace.to_list Trace.default));
-  Buffer.add_string buf "],";
+  let event (e : Trace.entry) =
+    Json.Obj
+      [ ("seq", Int e.Trace.seq); ("clock", Int e.Trace.clock); ("kind", Str e.Trace.kind);
+        ("detail", Str e.Trace.detail) ]
+  in
+  let events = List.map event (take_last max_events (Trace.to_list Trace.default)) in
   (* Point-in-time registry state and the windowed series, if sampling. *)
-  Buffer.add_string buf "\"snapshot\":";
-  Buffer.add_string buf (Registry.json_of_snapshot (Registry.snapshot ()));
-  (match Series.installed () with
-  | None -> ()
-  | Some series ->
-      Series.flush series;
-      Buffer.add_string buf ",\"series\":";
-      Buffer.add_string buf (Series.json_of series));
+  let snapshot = Registry.json_of_snapshot (Registry.snapshot ()) in
+  let series =
+    match Series.installed () with
+    | None -> []
+    | Some series ->
+        Series.flush series;
+        [ ("series", Series.json_of series) ]
+  in
   (* Registered aux sections, sorted for a stable artifact layout. A
      producer that raises is dropped, the same policy as gauges. *)
-  Hashtbl.fold (fun name fn acc -> (name, fn) :: acc) aux_sources []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, fn) ->
-         match fn () with
-         | body ->
-             Buffer.add_string buf (Printf.sprintf ",\"aux_%s\":" name);
-             Buffer.add_string buf body
-         | exception _ -> ());
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let aux =
+    Hashtbl.fold (fun name fn acc -> (name, fn) :: acc) aux_sources []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.filter_map (fun (name, fn) ->
+           match fn () with body -> Some ("aux_" ^ name, body) | exception _ -> None)
+  in
+  Json.(
+    render
+      (Obj
+         (head
+         @ [ ("traceEvents", Arr (spans @ faults)); ("displayTimeUnit", Str "ns");
+             ("events", Arr events); ("snapshot", snapshot) ]
+         @ series @ aux)))
+  ^ "\n"
 
 (* ---- Dumping ---------------------------------------------------------------- *)
 
@@ -187,8 +142,7 @@ let dump ~reason () =
         Filename.concat st.dir (Printf.sprintf "flightrec-%03d-%s.json" st.seq (slug reason))
       in
       st.seq <- st.seq + 1;
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc body);
+      Out_channel.with_open_bin path (fun oc -> output_string oc body);
       Some path
 
 (* ---- Loading and replay ----------------------------------------------------- *)
@@ -226,26 +180,15 @@ let replay j =
     List.filter_map
       (fun ev ->
         let name = Json.get_string ev "name" in
-        let ts =
-          match Option.bind (Json.member "ts" ev) Json.to_float with
-          | Some f -> us_to_ns f
-          | None -> 0
-        in
+        let ts = us_to_ns (Json.get_float ev "ts") in
+        let args = Option.value ~default:Json.Null (Json.member "args" ev) in
         match Json.get_string ev "ph" with
         | "X" ->
-            let dur =
-              match Option.bind (Json.member "dur" ev) Json.to_float with
-              | Some f -> us_to_ns f
-              | None -> 0
-            in
+            let dur = us_to_ns (Json.get_float ev "dur") in
             let attrs =
-              match Option.bind (Json.member "args" ev) Json.to_obj with
-              | None -> []
-              | Some fields ->
-                  List.filter_map
-                    (fun (k, v) ->
-                      match Json.to_string v with Some s -> Some (k, s) | None -> None)
-                    fields
+              List.filter_map
+                (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_string v))
+                (Option.value ~default:[] (Json.to_obj args))
             in
             Some
               (Span_item
@@ -262,12 +205,7 @@ let replay j =
                 String.sub name 6 (String.length name - 6)
               else name
             in
-            let ordinal =
-              match Json.member "args" ev with
-              | Some args -> Json.get_int args "ordinal"
-              | None -> 0
-            in
-            Some (Fault_item { site; ordinal; ts_ns = ts })
+            Some (Fault_item { site; ordinal = Json.get_int args "ordinal"; ts_ns = ts })
         | _ -> None)
       (Json.get_list j "traceEvents")
   in

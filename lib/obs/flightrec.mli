@@ -32,11 +32,15 @@ val fault_firings : unit -> (string * int * int) list
 
 (** [set_aux_source name fn] registers (or replaces) a named auxiliary
     JSON section included in every rendered artifact as a top-level
-    ["aux_<name>"] member. [fn] must return one complete JSON value; a
-    producer that raises is dropped from the dump. *)
-val set_aux_source : string -> (unit -> string) -> unit
+    ["aux_<name>"] member; a producer that raises is dropped from the
+    dump. *)
+val set_aux_source : string -> (unit -> Json.t) -> unit
 
 val clear_aux_source : string -> unit
+
+(** [iso8601 t] is the Unix time [t] as a UTC ["YYYY-MM-DDThh:mm:ssZ"]
+    stamp, the [wall_time] of every dump and bench artifact. *)
+val iso8601 : float -> string
 
 (** Render the artifact without writing it (works while disarmed). *)
 val render : ?max_spans:int -> ?max_events:int -> reason:string -> unit -> string

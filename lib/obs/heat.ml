@@ -111,25 +111,14 @@ let top_k t k =
   take k (sorted_entries t)
 
 let json_of ?(k = 20) ?key_label t =
-  let label key =
-    match key_label with
-    | Some f -> Printf.sprintf ",\"page\":%s" (Registry.json_string (f key))
-    | None -> ""
+  let entry (key, freq, last_ns) =
+    let label = match key_label with Some f -> [ ("page", Json.Str (f key)) ] | None -> [] in
+    Json.Obj ((("key", Json.Int key) :: label) @ [ ("freq", Int freq); ("last_ns", Int last_ns) ])
   in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"window_ns\":%d,\"accesses\":%d,\"tracked_keys\":%d,\"decays\":%d,\"top\":["
-       t.window_ns t.n_total (Hashtbl.length t.tbl) t.n_decays);
-  List.iteri
-    (fun i (key, freq, last_ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"key\":%d%s,\"freq\":%d,\"last_ns\":%d}" key (label key) freq
-           last_ns))
-    (top_k t k);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ("window_ns", Int t.window_ns); ("accesses", Int t.n_total);
+      ("tracked_keys", Int (Hashtbl.length t.tbl)); ("decays", Int t.n_decays);
+      ("top", Arr (List.map entry (top_k t k))) ]
 
 let fingerprint ?k ?key_label t =
-  Bess_util.Crc32.to_int (Bess_util.Crc32.string (json_of ?k ?key_label t))
+  Bess_util.Crc32.to_int (Bess_util.Crc32.string (Json.render (json_of ?k ?key_label t)))

@@ -40,7 +40,7 @@ val top_k : t -> int -> (int * int * int) list
 
 (** One deterministic JSON object with the top-[k] (default 20) entries;
     [key_label] renders each key as an extra ["page"] member. *)
-val json_of : ?k:int -> ?key_label:(int -> string) -> t -> string
+val json_of : ?k:int -> ?key_label:(int -> string) -> t -> Json.t
 
-(** CRC-32 of {!json_of} — the determinism gate's digest. *)
+(** CRC-32 of the rendered {!json_of} — the determinism gate's digest. *)
 val fingerprint : ?k:int -> ?key_label:(int -> string) -> t -> int

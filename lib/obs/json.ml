@@ -1,19 +1,79 @@
-(* A minimal JSON reader for the observability plane's own artifacts
-   (flight-recorder dumps, series exports). Hand-rolled recursive descent
-   -- the repo deliberately takes no JSON dependency; the writers are the
-   hand-built buffer emitters in Registry/Span/Series, and this is their
-   inverse, sufficient for well-formed output of those emitters plus
-   ordinary interchange JSON. Numbers are parsed as floats (ints
-   round-trip exactly up to 2^53, far beyond any simulated-clock value we
-   emit). *)
+(* The observability plane's JSON value, its one writer and its reader:
+   every artifact is built as a [t] and printed by [render]; [parse]
+   reads it back. Hand-rolled -- the repo takes no JSON dependency.
+   Numbers keep their kind ([Int] is exact over the whole int range, so
+   packed page keys survive), and [render] spells every [Num] with a '.'
+   or an exponent, so [parse (render j) = Ok j] for every finite [j]. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+
+(* ---- Writer --------------------------------------------------------------- *)
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+(* The shortest %g spelling that reads back as [f]: 15 significant
+   digits suffice for most values, 17 for every double. A bare integer
+   spelling gets ".0" so it parses back as [Num], not [Int]. *)
+let num_to_string f =
+  if not (Float.is_finite f) then invalid_arg "Json.render: non-finite number";
+  let rec go prec =
+    let s = Printf.sprintf "%.*g" prec f in
+    if prec >= 17 || float_of_string s = f then s else go (prec + 1)
+  in
+  let s = go 15 in
+  if String.exists (function '.' | 'e' -> true | _ -> false) s then s else s ^ ".0"
+
+let add_seq buf opening closing f l =
+  Buffer.add_char buf opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      f x)
+    l;
+  Buffer.add_char buf closing
+
+let rec add buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Num f -> Buffer.add_string buf (num_to_string f)
+  | Str s -> add_string buf s
+  | Arr l -> add_seq buf '[' ']' (add buf) l
+  | Obj fields ->
+      add_seq buf '{' '}'
+        (fun (k, v) ->
+          add_string buf k;
+          Buffer.add_char buf ':';
+          add buf v)
+        fields
+
+let render j =
+  let buf = Buffer.create 256 in
+  add buf j;
+  Buffer.contents buf
+
+let fixed digits x = Num (float_of_string (Printf.sprintf "%.*f" digits x))
+
+(* ---- Reader --------------------------------------------------------------- *)
 
 exception Parse_error of string
 
@@ -24,10 +84,7 @@ type cursor = { src : string; mutable pos : int }
 let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
 
 let skip_ws c =
-  while
-    c.pos < String.length c.src
-    && match c.src.[c.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
+  while match peek c with Some (' ' | '\t' | '\n' | '\r') -> true | _ -> false do
     c.pos <- c.pos + 1
   done
 
@@ -58,14 +115,6 @@ let parse_string_body c =
         let e = c.src.[c.pos] in
         c.pos <- c.pos + 1;
         match e with
-        | '"' -> Buffer.add_char buf '"'; go ()
-        | '\\' -> Buffer.add_char buf '\\'; go ()
-        | '/' -> Buffer.add_char buf '/'; go ()
-        | 'n' -> Buffer.add_char buf '\n'; go ()
-        | 't' -> Buffer.add_char buf '\t'; go ()
-        | 'r' -> Buffer.add_char buf '\r'; go ()
-        | 'b' -> Buffer.add_char buf '\b'; go ()
-        | 'f' -> Buffer.add_char buf '\012'; go ()
         | 'u' ->
             if c.pos + 4 > String.length c.src then error "truncated \\u escape";
             let hex = String.sub c.src c.pos 4 in
@@ -74,38 +123,62 @@ let parse_string_body c =
               try int_of_string ("0x" ^ hex)
               with _ -> error "bad \\u escape %S" hex
             in
-            (* Encode the code point as UTF-8; surrogate pairs are not
-               recombined -- our own emitters only escape control chars. *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end;
+            (* Surrogate pairs are not recombined: the writer only escapes
+               control bytes. *)
+            if not (Uchar.is_valid code) then error "unpaired surrogate \\u%s" hex;
+            Buffer.add_utf_8_uchar buf (Uchar.of_int code);
             go ()
-        | e -> error "bad escape '\\%c'" e)
+        | e ->
+            Buffer.add_char buf
+              (match e with
+              | '"' | '\\' | '/' -> e
+              | 'n' -> '\n'
+              | 't' -> '\t'
+              | 'r' -> '\r'
+              | 'b' -> '\b'
+              | 'f' -> '\012'
+              | e -> error "bad escape '\\%c'" e);
+            go ())
     | ch -> Buffer.add_char buf ch; go ()
   in
   go ()
 
 let parse_number c =
   let start = c.pos in
-  let is_num_char ch =
-    match ch with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while c.pos < String.length c.src && is_num_char c.src.[c.pos] do
+  while match peek c with Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') -> true | _ -> false do
     c.pos <- c.pos + 1
   done;
   let s = String.sub c.src start (c.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Num f
-  | None -> error "bad number %S at offset %d" s start
+  let integral = not (String.exists (function '.' | 'e' | 'E' -> true | _ -> false) s) in
+  match (if integral then int_of_string_opt s else None) with
+  | Some i -> Int i
+  | None -> (
+      match float_of_string_opt s with
+      | Some f -> Num f
+      | None -> error "bad number %S at offset %d" s start)
+
+(* The comma-separated items of an array or object, through [closing];
+   the opening bracket is already consumed. *)
+let parse_items c closing item =
+  skip_ws c;
+  if peek c = Some closing then begin
+    c.pos <- c.pos + 1;
+    []
+  end
+  else
+    let rec go acc =
+      let acc = item () :: acc in
+      skip_ws c;
+      match peek c with
+      | Some ',' ->
+          c.pos <- c.pos + 1;
+          go acc
+      | Some x when x = closing ->
+          c.pos <- c.pos + 1;
+          List.rev acc
+      | _ -> error "expected ',' or '%c' at offset %d" closing c.pos
+    in
+    go []
 
 let rec parse_value c =
   skip_ws c;
@@ -113,53 +186,17 @@ let rec parse_value c =
   | None -> error "unexpected end of input"
   | Some '{' ->
       c.pos <- c.pos + 1;
-      skip_ws c;
-      if peek c = Some '}' then begin
-        c.pos <- c.pos + 1;
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws c;
-          expect c '"';
-          let key = parse_string_body c in
-          skip_ws c;
-          expect c ':';
-          let v = parse_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              c.pos <- c.pos + 1;
-              members ((key, v) :: acc)
-          | Some '}' ->
-              c.pos <- c.pos + 1;
-              Obj (List.rev ((key, v) :: acc))
-          | _ -> error "expected ',' or '}' at offset %d" c.pos
-        in
-        members []
-      end
+      Obj
+        (parse_items c '}' (fun () ->
+             skip_ws c;
+             expect c '"';
+             let key = parse_string_body c in
+             skip_ws c;
+             expect c ':';
+             (key, parse_value c)))
   | Some '[' ->
       c.pos <- c.pos + 1;
-      skip_ws c;
-      if peek c = Some ']' then begin
-        c.pos <- c.pos + 1;
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              c.pos <- c.pos + 1;
-              elements (v :: acc)
-          | Some ']' ->
-              c.pos <- c.pos + 1;
-              Arr (List.rev (v :: acc))
-          | _ -> error "expected ',' or ']' at offset %d" c.pos
-        in
-        elements []
-      end
+      Arr (parse_items c ']' (fun () -> parse_value c))
   | Some '"' ->
       c.pos <- c.pos + 1;
       Str (parse_string_body c)
@@ -189,9 +226,14 @@ let member name = function
 
 let to_list = function Arr l -> Some l | _ -> None
 let to_string = function Str s -> Some s | _ -> None
-let to_float = function Num f -> Some f | _ -> None
+
+let to_float = function
+  | Int i -> Some (float_of_int i)
+  | Num f -> Some f
+  | _ -> None
 
 let to_int = function
+  | Int i -> Some i
   | Num f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
@@ -202,5 +244,8 @@ let get_string ?(default = "") j name =
 
 let get_int ?(default = 0) j name =
   Option.value ~default (Option.bind (member name j) to_int)
+
+let get_float ?(default = 0.0) j name =
+  Option.value ~default (Option.bind (member name j) to_float)
 
 let get_list j name = Option.value ~default:[] (Option.bind (member name j) to_list)

@@ -205,19 +205,13 @@ let curve t ~max_size =
   go 1 []
 
 let json_of ?(max_size = 1 lsl 20) t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"rate_bits\":%d,\"accesses\":%d,\"sampled\":%d,\"cold\":%d,\"tracked_keys\":%d,\"curve\":["
-       t.rate_bits t.n_total t.n_sampled t.n_cold t.live);
-  List.iteri
-    (fun i (size, rate) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"size\":%d,\"hit_pct\":%.2f}" size (100.0 *. rate)))
-    (curve t ~max_size);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let point (size, rate) =
+    Json.Obj [ ("size", Int size); ("hit_pct", Json.fixed 2 (100.0 *. rate)) ]
+  in
+  Json.Obj
+    [ ("rate_bits", Int t.rate_bits); ("accesses", Int t.n_total); ("sampled", Int t.n_sampled);
+      ("cold", Int t.n_cold); ("tracked_keys", Int t.live);
+      ("curve", Arr (List.map point (curve t ~max_size))) ]
 
 let fingerprint t =
-  Bess_util.Crc32.to_int (Bess_util.Crc32.string (json_of t))
+  Bess_util.Crc32.to_int (Bess_util.Crc32.string (Json.render (json_of t)))

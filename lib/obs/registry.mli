@@ -97,7 +97,7 @@ val pp_snapshot : Format.formatter -> snapshot -> unit
 
 (** Render a snapshot as one JSON object:
     [{"counters":{...},"gauges":{...},"histograms":{...}}]. *)
-val json_of_snapshot : snapshot -> string
+val json_of_snapshot : snapshot -> Json.t
 
 (** Render a snapshot in Prometheus text exposition format: dots map to
     underscores under a ["bess_"] prefix, labeled counters
@@ -107,5 +107,5 @@ val json_of_snapshot : snapshot -> string
     [_sum]/[_count]). *)
 val prom_of_snapshot : snapshot -> string
 
-(** Escape and quote a string as a JSON string literal. *)
+(** A string as a JSON string literal: [Json.render (Json.Str s)]. *)
 val json_string : string -> string

@@ -204,40 +204,18 @@ let rate t name = Option.bind (last t) (fun s -> sample_rate s name)
 (* ---- JSON export ----------------------------------------------------------- *)
 
 let json_of_sample s =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"i\":%d,\"start_ns\":%d,\"end_ns\":%d,\"counters\":{" s.w_index
-       s.w_start_ns s.w_end_ns);
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "%s:%d" (Registry.json_string k) v))
-    s.w_counters;
-  Buffer.add_string buf "},\"gauges\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "%s:%d" (Registry.json_string k) v))
-    s.w_gauges;
-  Buffer.add_string buf "},\"tails\":{";
-  List.iteri
-    (fun i (k, tl) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "%s:{\"count\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"p999\":%d}"
-           (Registry.json_string k) tl.t_count tl.t_p50 tl.t_p95 tl.t_p99 tl.t_p999))
-    s.w_tails;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let ints l = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) l) in
+  let tail tl =
+    Json.Obj
+      [ ("count", Int tl.t_count); ("p50", Int tl.t_p50); ("p95", Int tl.t_p95);
+        ("p99", Int tl.t_p99); ("p999", Int tl.t_p999) ]
+  in
+  Json.Obj
+    [ ("i", Int s.w_index); ("start_ns", Int s.w_start_ns); ("end_ns", Int s.w_end_ns);
+      ("counters", ints s.w_counters); ("gauges", ints s.w_gauges);
+      ("tails", Obj (List.map (fun (k, tl) -> (k, tail tl)) s.w_tails)) ]
 
 let json_of t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"window_ns\":%d,\"dropped\":%d,\"samples\":[" t.window_ns t.dropped);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (json_of_sample s))
-    (to_list t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ("window_ns", Int t.window_ns); ("dropped", Int t.dropped);
+      ("samples", Arr (List.map json_of_sample (to_list t))) ]

@@ -81,8 +81,10 @@ val sample_rate : sample -> string -> float option
 (** Rate over the most recently completed window. *)
 val rate : t -> string -> float option
 
-val json_of_sample : sample -> string
+(** One window as a JSON object: index, bounds, counter deltas, gauges
+    and tails. *)
+val json_of_sample : sample -> Json.t
 
 (** The whole ring as one JSON object:
     [{"window_ns":..,"dropped":..,"samples":[...]}]. *)
-val json_of : t -> string
+val json_of : t -> Json.t

@@ -345,40 +345,32 @@ let pp_tree c ppf root =
 (* ---- Chrome trace_event export -------------------------------------------- *)
 
 (* Complete ("X") events with microsecond stamps: 1 simulated ns renders
-   as 0.001us exactly under %.3f, so nesting survives the unit change.
-   The track (tid) is the span's root ancestor: each transaction gets
-   its own timeline row in chrome://tracing / Perfetto. *)
-let root_of c s =
-  let rec up s =
+   as 0.001us exactly at three decimals, so nesting survives the unit
+   change. The track (tid) is the span's root ancestor as far as [find]
+   resolves it: each transaction gets its own timeline row in
+   chrome://tracing / Perfetto. *)
+let chrome_events ~find spans =
+  let rec root s =
     match s.parent with
     | None -> s.id
-    | Some pid -> (
-        match Hashtbl.find_opt c.by_id pid with None -> s.id | Some p -> up p)
+    | Some pid -> ( match find pid with None -> s.id | Some p -> root p)
   in
-  up s
+  let us ns = Json.fixed 3 (float_of_int ns /. 1000.0) in
+  List.map
+    (fun s ->
+      let parent =
+        match s.parent with Some p -> [ ("parent", Json.Str (string_of_int p)) ] | None -> []
+      in
+      Json.Obj
+        [ ("name", Str s.kind); ("cat", Str "bess"); ("ph", Str "X"); ("ts", us s.start_ns);
+          ("dur", us (duration s)); ("pid", Int 1); ("tid", Int (root s));
+          ( "args",
+            Obj
+              ((("id", Json.Str (string_of_int s.id)) :: parent)
+              @ List.map (fun (k, v) -> (k, Json.Str v)) s.attrs) ) ])
+    spans
 
 let to_chrome_json c =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":%s,\"cat\":\"bess\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"
-           (Registry.json_string s.kind)
-           (float_of_int s.start_ns /. 1000.0)
-           (float_of_int (duration s) /. 1000.0)
-           (root_of c s));
-      Buffer.add_string buf (Printf.sprintf "\"id\":\"%d\"" s.id);
-      (match s.parent with
-      | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent\":\"%d\"" p)
-      | None -> ());
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf ",%s:%s" (Registry.json_string k) (Registry.json_string v)))
-        s.attrs;
-      Buffer.add_string buf "}}")
-    (to_list c);
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"}\n";
-  Buffer.contents buf
+  Json.Obj
+    [ ("traceEvents", Arr (chrome_events ~find:(Hashtbl.find_opt c.by_id) (to_list c)));
+      ("displayTimeUnit", Str "ns") ]

@@ -139,8 +139,14 @@ val slowest : ?kind:string -> t -> span option
 (** Indented text timeline of [root] and its retained descendants. *)
 val pp_tree : t -> Format.formatter -> span -> unit
 
+(** [spans] as Chrome [trace_event] complete ("X") events with
+    microsecond timestamps. Each event's track (tid) is the span's root
+    ancestor, following parent links through [find]; an unresolved
+    parent ends the walk. *)
+val chrome_events : find:(int -> span option) -> span list -> Json.t list
+
 (** The whole buffer in Chrome [trace_event] JSON (complete "X" events,
     microsecond timestamps) — loads in chrome://tracing and Perfetto.
     Each span's track (tid) is its root ancestor, so every transaction
     renders as its own timeline row. *)
-val to_chrome_json : t -> string
+val to_chrome_json : t -> Json.t

@@ -92,7 +92,9 @@ let test_curve_monotone_and_deterministic () =
     mrc
   in
   let a = feed () and b = feed () in
-  Alcotest.(check string) "same stream, byte-identical json" (Mrc.json_of a) (Mrc.json_of b);
+  Alcotest.(check string) "same stream, byte-identical json"
+    (Bess_obs.Json.render (Mrc.json_of a))
+    (Bess_obs.Json.render (Mrc.json_of b));
   Alcotest.(check int) "same fingerprint" (Mrc.fingerprint a) (Mrc.fingerprint b);
   let curve = Mrc.curve a ~max_size:(1 lsl 12) in
   ignore
@@ -242,6 +244,31 @@ let test_memx_gauges_and_aux () =
         | Ok j -> Bess_obs.Json.member "aux_mrc" j = None
         | Error _ -> false))
 
+(* Page keys pack the area above bit 40, so an area >= 8192 gives keys
+   past 2^53: a flight-recorder dump must carry them exactly. *)
+let test_heat_dump_large_keys () =
+  Registry.with_fresh (fun () ->
+      let cache = Cache.create ~nslots:8 ~page_size:64 in
+      let memx = Memx.install ~rate_bits:0 cache in
+      Fun.protect
+        ~finally:(fun () -> Memx.uninstall memx)
+        (fun () ->
+          List.iter
+            (fun page ->
+              Cache.unpin cache (Cache.load cache (Page_id.make ~area:918_100 ~page) ~fill:ignore))
+            [ 1234; 1235; 1; 77_777 ];
+          let dump = Bess_obs.Json.parse_exn (Bess_obs.Flightrec.render ~reason:"test" ()) in
+          let heat = Option.get (Bess_obs.Json.member "aux_heat" dump) in
+          let top = Bess_obs.Json.get_list heat "top" in
+          Alcotest.(check int) "every page ranked" 4 (List.length top);
+          List.iter
+            (fun e ->
+              let label = Bess_obs.Json.get_string e "page" in
+              let page = Scanf.sscanf label "%d:%d" (fun area page -> Page_id.make ~area ~page) in
+              Alcotest.(check int) ("key of " ^ label) (Page_id.to_key page)
+                (Bess_obs.Json.get_int e "key"))
+            top))
+
 let test_page_key_roundtrip () =
   List.iter
     (fun (area, page) ->
@@ -263,4 +290,5 @@ let suite =
     Alcotest.test_case "memx_zero_cost" `Quick test_memx_zero_cost_when_off;
     Alcotest.test_case "memx_gauges_aux" `Quick test_memx_gauges_and_aux;
     Alcotest.test_case "page_key_roundtrip" `Quick test_page_key_roundtrip;
+    Alcotest.test_case "heat_dump_large_keys" `Quick test_heat_dump_large_keys;
   ]

@@ -43,7 +43,7 @@ let test_registry_replace_and_histograms () =
       Alcotest.(check int) "count" 2 h.Registry.h_count;
       Alcotest.(check int) "sum" 12 h.Registry.h_sum
   | l -> Alcotest.fail (Printf.sprintf "expected one histogram, got %d" (List.length l)));
-  let json = Registry.json_of_snapshot snap in
+  let json = Bess_obs.Json.render (Registry.json_of_snapshot snap) in
   Alcotest.(check bool) "json has histogram" true
     (let needle = "\"lock.wait_ticks\"" in
      let rec search i =
@@ -223,7 +223,9 @@ let test_registry_gauges () =
     "replacement visible, raising gauge dropped"
     [ ("cache.resident_pages", 99) ]
     (Registry.gauges (Registry.snapshot ~registry:reg ()));
-  let json = Registry.json_of_snapshot (Registry.snapshot ~registry:reg ()) in
+  let json =
+    Bess_obs.Json.render (Registry.json_of_snapshot (Registry.snapshot ~registry:reg ()))
+  in
   Alcotest.(check bool) "json carries gauges" true
     (contains json "\"gauges\":{\"cache.resident_pages\":99}")
 

@@ -183,7 +183,7 @@ let test_uninstalled_is_inert () =
   Span.advance_ns 5000;
   Alcotest.(check int) "no windows recorded" 0 (Series.windows series);
   (* And json_of on an empty ring is still a valid document. *)
-  match Json.parse (Series.json_of series) with
+  match Json.parse (Json.render (Series.json_of series)) with
   | Ok j -> Alcotest.(check (list Alcotest.reject)) "no samples" [] (Json.get_list j "samples")
   | Error e -> Alcotest.failf "bad series json: %s" e
 
@@ -196,7 +196,7 @@ let test_series_json_roundtrip () =
   with_series series (fun () ->
       Stats.add st "forces" 2;
       Span.advance_ns 1500);
-  match Json.parse (Series.json_of series) with
+  match Json.parse (Json.render (Series.json_of series)) with
   | Error e -> Alcotest.failf "unparseable series json: %s" e
   | Ok j -> (
       Alcotest.(check int) "window_ns round-trips" 1000 (Json.get_int j "window_ns");
@@ -207,6 +207,59 @@ let test_series_json_roundtrip () =
           let gauges = Option.get (Json.member "gauges" s) in
           Alcotest.(check int) "gauge round-trips" 3 (Json.get_int gauges "wal.pending")
       | l -> Alcotest.failf "expected 1 sample, got %d" (List.length l))
+
+(* ---- JSON writer ---- *)
+
+(* Values covering the writer's edge cases: strings over every byte
+   (quotes, backslashes, control bytes, UTF-8 sequences), ints across
+   the whole range, finite floats from every exponent, and nesting. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    oneof
+      [ string_size ~gen:char (int_bound 8);
+        oneofl [ "\"\\"; "\x00\n\t\x1f\x7f"; "h\xc3\xa9 \xe2\x82\xac \xf0\x9f\x90\xab" ] ]
+  in
+  let num =
+    oneof
+      [ float;
+        map (fun f -> if Float.is_finite f then f else 0.0) (map Int64.float_of_bits int64);
+        oneofl [ 0.0; -0.0; 1.0; -3.0; 0.1; 87.5; 2. ** 53.; 1e21; 1e300; -1e300; 5e-324 ] ]
+  in
+  let scalar =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; (1 lsl 53) + 1 ] ]);
+        map (fun f -> Json.Num f) num; map (fun s -> Json.Str s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then scalar
+         else
+           frequency
+             [ (2, scalar);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 3))));
+               (1, map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair str (self (n / 3))))) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json parse (render j) = Ok j" ~count:1000
+    (QCheck.make ~print:Json.render json_gen)
+    (fun j -> Json.parse (Json.render j) = Ok j)
+
+let test_json_spelling () =
+  List.iter
+    (fun (j, text) -> Alcotest.(check string) text text (Json.render j))
+    [ (Json.Int max_int, string_of_int max_int); (Json.Num 3.0, "3.0"); (Json.Num 0.1, "0.1");
+      (Json.Num 1e300, "1e+300"); (Json.fixed 2 87.5, "87.5"); (Json.fixed 3 (1. /. 3.), "0.333");
+      (Json.Str "a\"\\\n\x01", {|"a\"\\\n\u0001"|});
+      (Json.Obj [ ("k", Json.Arr [ Json.Null; Json.Bool true ]) ], {|{"k":[null,true]}|}) ];
+  (* Non-finite numbers have no JSON spelling: refuse rather than print nan. *)
+  List.iter
+    (fun f ->
+      Alcotest.check_raises (Printf.sprintf "render %h" f)
+        (Invalid_argument "Json.render: non-finite number") (fun () ->
+          ignore (Json.render (Json.Arr [ Json.Num f ]))))
+    [ nan; infinity; neg_infinity ]
 
 (* ---- flight recorder ---- *)
 
@@ -323,6 +376,8 @@ let suite =
     Alcotest.test_case "ring_bound_and_flush" `Quick test_ring_bound_and_flush;
     Alcotest.test_case "uninstalled_is_inert" `Quick test_uninstalled_is_inert;
     Alcotest.test_case "series_json_roundtrip" `Quick test_series_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    Alcotest.test_case "json_spelling" `Quick test_json_spelling;
     Alcotest.test_case "flightrec_roundtrip" `Quick test_flightrec_roundtrip;
     Alcotest.test_case "flightrec_disarmed_noop" `Quick test_flightrec_disarmed_noop;
     Alcotest.test_case "substrate_gauges_end_to_end" `Quick test_substrate_gauges_end_to_end;

@@ -5,6 +5,7 @@
 
 module Span = Bess_obs.Span
 module Registry = Bess_obs.Registry
+module Json = Bess_obs.Json
 module Vmem = Bess_vmem.Vmem
 
 (* Run [f] against a private collector, leaving the process-global
@@ -132,126 +133,6 @@ let test_ring_bounded () =
 
 (* ---- Chrome trace JSON -------------------------------------------------- *)
 
-(* A minimal recursive-descent JSON parser: enough to validate the
-   trace_event output without external dependencies. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else raise (Bad "eof") in
-    let advance () = incr pos in
-    let skip_ws () =
-      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-        advance ()
-      done
-    in
-    let expect c =
-      skip_ws ();
-      if peek () <> c then raise (Bad (Printf.sprintf "expected %c at %d" c !pos));
-      advance ()
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (match peek () with
-            | ('"' | '\\' | '/') as c -> Buffer.add_char b c
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | 'r' -> Buffer.add_char b '\r'
-            | 'b' -> Buffer.add_char b '\b'
-            | 'f' -> Buffer.add_char b '\012'
-            | 'u' ->
-                (* Preserve escapes verbatim; equality is all we need. *)
-                Buffer.add_string b "\\u"
-            | c -> raise (Bad (Printf.sprintf "bad escape %c" c)));
-            advance ();
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | '"' -> Str (parse_string ())
-      | '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = '}' then (advance (); Obj [])
-          else
-            let rec members acc =
-              let k = parse_string () in
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | ',' -> advance (); skip_ws (); members ((k, v) :: acc)
-              | '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-              | c -> raise (Bad (Printf.sprintf "bad object char %c" c))
-            in
-            members []
-      | '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = ']' then (advance (); List [])
-          else
-            let rec elements acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | ',' -> advance (); elements (v :: acc)
-              | ']' -> advance (); List (List.rev (v :: acc))
-              | c -> raise (Bad (Printf.sprintf "bad array char %c" c))
-            in
-            elements []
-      | 't' -> pos := !pos + 4; Bool true
-      | 'f' -> pos := !pos + 5; Bool false
-      | 'n' -> pos := !pos + 4; Null
-      | _ ->
-          let start = !pos in
-          while
-            !pos < n
-            && (match s.[!pos] with
-               | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-               | _ -> false)
-          do
-            advance ()
-          done;
-          if !pos = start then raise (Bad (Printf.sprintf "bad value at %d" start));
-          Num (float_of_string (String.sub s start (!pos - start)))
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing garbage");
-    v
-
-  let member k = function
-    | Obj kvs -> List.assoc_opt k kvs
-    | _ -> None
-
-  let num = function Num f -> f | _ -> raise (Bad "number expected")
-  let str = function Str s -> s | _ -> raise (Bad "string expected")
-end
-
 let test_chrome_json_roundtrip () =
   with_collector (fun c ->
       Span.with_span ~kind:"session.txn" (fun () ->
@@ -259,26 +140,24 @@ let test_chrome_json_roundtrip () =
           Span.with_span ~attrs:[ ("op", "commit \"quoted\"\n") ] ~kind:"net.rpc" (fun () ->
               Span.advance_ns 1_000);
           Span.with_span ~kind:"wal.force" (fun () -> Span.advance_ns 100_000));
-      let json = Span.to_chrome_json c in
-      let root = Json.parse json in
+      (* Through the writer and back: what a trace viewer would load. *)
+      let root = Json.parse_exn (Json.render (Span.to_chrome_json c)) in
       let events =
         match Json.member "traceEvents" root with
-        | Some (Json.List evs) -> evs
+        | Some (Json.Arr evs) -> evs
         | _ -> Alcotest.fail "traceEvents array missing"
       in
+      let str ev k = Option.get (Option.bind (Json.member k ev) Json.to_string) in
+      let num ev k = Option.get (Option.bind (Json.member k ev) Json.to_float) in
       Alcotest.(check int) "all spans exported" 3 (List.length events);
       let by_id = Hashtbl.create 8 in
       List.iter
         (fun ev ->
           (* Shape of every event. *)
-          Alcotest.(check string) "complete event" "X"
-            (Json.str (Option.get (Json.member "ph" ev)));
-          Alcotest.(check bool) "kind is known" true
-            (List.mem (Json.str (Option.get (Json.member "name" ev))) Span.kinds);
-          Alcotest.(check bool) "duration non-negative" true
-            (Json.num (Option.get (Json.member "dur" ev)) >= 0.0);
-          let args = Option.get (Json.member "args" ev) in
-          let id = int_of_string (Json.str (Option.get (Json.member "id" args))) in
+          Alcotest.(check string) "complete event" "X" (str ev "ph");
+          Alcotest.(check bool) "kind is known" true (List.mem (str ev "name") Span.kinds);
+          Alcotest.(check bool) "duration non-negative" true (num ev "dur" >= 0.0);
+          let id = int_of_string (str (Option.get (Json.member "args" ev)) "id") in
           Hashtbl.replace by_id id ev)
         events;
       (* Nesting: every child's [ts, ts+dur] inside its parent's. The
@@ -290,24 +169,20 @@ let test_chrome_json_roundtrip () =
           match Json.member "parent" args with
           | None -> ()
           | Some p -> (
-              match Hashtbl.find_opt by_id (int_of_string (Json.str p)) with
+              match Hashtbl.find_opt by_id (int_of_string (Option.get (Json.to_string p))) with
               | None -> ()
               | Some pe ->
-                  let ts e = Json.num (Option.get (Json.member "ts" e)) in
-                  let fin e = ts e +. Json.num (Option.get (Json.member "dur" e)) in
+                  let ts e = num e "ts" in
+                  let fin e = ts e +. num e "dur" in
                   Alcotest.(check bool) "child starts after parent" true
                     (ts ev >= ts pe -. 1e-6);
                   Alcotest.(check bool) "child ends before parent" true
                     (fin ev <= fin pe +. 1e-6)))
         events;
       (* Attributes with JSON metacharacters survive the round trip. *)
-      let rpc =
-        List.find
-          (fun ev -> Json.str (Option.get (Json.member "name" ev)) = "net.rpc")
-          events
-      in
+      let rpc = List.find (fun ev -> str ev "name" = "net.rpc") events in
       Alcotest.(check string) "attr escaped and recovered" "commit \"quoted\"\n"
-        (Json.str (Option.get (Json.member "op" (Option.get (Json.member "args" rpc))))))
+        (str (Option.get (Json.member "args" rpc)) "op"))
 
 (* ---- End to end over a live database ------------------------------------ *)
 
