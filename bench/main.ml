@@ -1149,7 +1149,7 @@ per window (%s)"
       ("rounds", Int rounds); ("acked", Int !acked_n); ("violations", Int !violations) ]
     ("series", Bess_obs.Series.json_of series)
 
-(* ---- Shared closed-loop sweep point (E14, E15, E18) ------------------------ *)
+(* ---- Shared closed-loop point (E14, E15, E17, E18) -------------------------- *)
 
 (* The E14/E15 sweep: populations 10^2 -> 10^5 over one working set,
    zipf(0.8) with a 5% hot-8 set and 0.2% session churn. *)
@@ -1168,24 +1168,39 @@ let sweep_cfg ~seed n_clients =
     seed;
   }
 
-type 'a point = {
-  server : Bess.Server.t;
+type ('s, 'r, 'a) point = {
+  sys : 's; (* the system under load: a server or a shard ring *)
   sched : Bess_sched.Sched.t;
-  result : Bess_sched.Driver.result;
+  result : 'r;
   wall : float; (* real seconds spent in the driver run *)
-  leaked : int; (* lock-table entries left once every client is done *)
   obs : 'a; (* what the experiment's instruments measured *)
 }
 
-(* One closed-loop point: a fresh db with group:16 commit and the
+(* One closed-loop point against [sys], built before the fault profile
+   (if given) is armed, on a fresh scheduler — created before any
+   instrument, so the registry's sched.* stats already name this run's
+   instance when a series takes its baseline. [observe sys] installs
+   the experiment's instruments and returns the closure that removes
+   them after the timed [run] and yields their measurements. *)
+let closed_loop ?(fault_sites = []) ~observe sys run =
+  let armed = match fault_sites with [] -> false | _ -> true in
+  if armed then begin
+    Fault.seed !fault_seed;
+    Fault.apply_profile fault_sites
+  end;
+  let sched = Bess_sched.Sched.create () in
+  let finish = observe sys in
+  let wall0 = Unix.gettimeofday () in
+  let result = run ~sched sys in
+  let wall = Unix.gettimeofday () -. wall0 in
+  let obs = finish () in
+  if armed then Fault.reset ();
+  { sys; sched; result; wall; obs }
+
+(* The single-server point: a fresh db with group:16 commit and the
    [sweep_pages] working set, [`Timeout] detection (the graph detector
-   is O(table) per blocked request), the fault profile armed if given,
-   and a fresh scheduler — created before any instrument, so the
-   registry's sched.* stats already name this run's instance when a
-   series takes its baseline. [observe server] installs the
-   experiment's instruments and returns the closure that removes them
-   after the timed run and yields their measurements. *)
-let closed_loop ?(cache_slots = 2 * sweep_pages) ?db_id ?(fault_sites = []) ~observe cfg =
+   is O(table) per blocked request). *)
+let server_loop ?(cache_slots = 2 * sweep_pages) ?db_id ?fault_sites ~observe cfg =
   let db =
     Workloads.fresh_db ~cache_slots ~group_commit:(Bess_wal.Group_commit.Group_n 16) ?db_id
       ()
@@ -1193,20 +1208,20 @@ let closed_loop ?(cache_slots = 2 * sweep_pages) ?db_id ?(fault_sites = []) ~obs
   let server = Bess.Db.server db in
   Bess.Server.set_detection server `Timeout;
   let pages = Workloads.driver_pages db ~n_pages:sweep_pages in
-  let armed = match fault_sites with [] -> false | _ -> true in
-  if armed then begin
-    Fault.seed !fault_seed;
-    Fault.apply_profile fault_sites
-  end;
-  let sched = Bess_sched.Sched.create () in
-  let finish = observe server in
-  let wall0 = Unix.gettimeofday () in
-  let result = Bess_sched.Driver.run ~sched server ~pages cfg in
-  let wall = Unix.gettimeofday () -. wall0 in
-  let obs = finish () in
-  if armed then Fault.reset ();
-  { server; sched; result; wall; obs;
-    leaked = Bess_lock.Lock_mgr.n_locks (Bess.Server.locks server) }
+  closed_loop ?fault_sites ~observe server (fun ~sched server ->
+      Bess_sched.Driver.run ~sched server ~pages cfg)
+
+(* A private span collector feeding a fresh critical-path sink; the
+   returned closure removes both and yields the sink. *)
+let critpath_observer () =
+  let coll = Bess_obs.Span.create () in
+  let cp = Bess_obs.Critpath.create ~top_k:8 () in
+  Bess_obs.Span.install (Some coll);
+  Bess_obs.Critpath.install (Some cp);
+  fun () ->
+    Bess_obs.Critpath.install None;
+    Bess_obs.Span.install None;
+    cp
 
 (* Counter fingerprint over a point's own fresh substrate instances —
    sched and server stats plus [extra]: bit-identical across same-seed
@@ -1214,7 +1229,7 @@ let closed_loop ?(cache_slots = 2 * sweep_pages) ?db_id ?(fault_sites = []) ~obs
 let fingerprint p extra =
   Fmt.str "%a|%a|%a" Stats.pp
     (Bess_sched.Sched.stats p.sched)
-    Stats.pp (Bess.Server.stats p.server) Stats.pp extra
+    Stats.pp (Bess.Server.stats p.sys) Stats.pp extra
 
 (* A fresh 10ms-window series installed for one point; the returned
    closure flushes it and reinstates whatever was installed before. *)
@@ -1245,7 +1260,7 @@ let point_series () =
 let e14 () =
   let seed = 1404 in
   let run_point ?fault_sites n_clients =
-    closed_loop ?fault_sites (sweep_cfg ~seed n_clients) ~observe:(fun _ ->
+    server_loop ?fault_sites (sweep_cfg ~seed n_clients) ~observe:(fun _ ->
         let series, restore = point_series () in
         let fires0 = Stats.get (Fault.stats ()) "fault.fires" in
         fun () ->
@@ -1253,7 +1268,9 @@ let e14 () =
           restore ();
           (series, fires))
   in
-  let lock_fp p = fingerprint p (Bess_lock.Lock_mgr.stats (Bess.Server.locks p.server)) in
+  let locks p = Bess.Server.locks p.sys in
+  let lock_fp p = fingerprint p (Bess_lock.Lock_mgr.stats (locks p)) in
+  let leaked p = Bess_lock.Lock_mgr.n_locks (locks p) in
   let digest fp = Digest.to_hex (Digest.string fp) in
   let rows = ref [] and series_sections = ref [] in
   let fp_1000 = ref "" and leaks = ref [] and convoys = ref [] in
@@ -1265,8 +1282,9 @@ let e14 () =
       let parks = Stats.get st "sched.lock_parks" in
       let retries = Stats.get st "sched.lock_retries" in
       if n_clients = 1_000 then fp_1000 := lock_fp p;
-      if p.leaked <> 0 then
-        leaks := Printf.sprintf "%d entries at %d clients" p.leaked n_clients :: !leaks;
+      let leaked = leaked p in
+      if leaked <> 0 then
+        leaks := Printf.sprintf "%d entries at %d clients" leaked n_clients :: !leaks;
       if retries > parks then
         convoys :=
           Printf.sprintf "%d retries vs %d parks at %d clients" retries parks n_clients
@@ -1317,15 +1335,16 @@ let e14 () =
   (* Chaos under load: the fault plane armed while 1000 clients run.
      Outcomes may be lost (indeterminate) but nothing may leak. *)
   let chaos = run_point ~fault_sites:(List.assoc "flaky-disk" Fault.profiles) 1_000 in
+  let chaos_leaked = leaked chaos in
   Report.gate
     (Printf.sprintf "e14: chaos under load (flaky-disk, seed %d) leaks no lock" !fault_seed)
-    (chaos.leaked = 0)
+    (chaos_leaked = 0)
     (Printf.sprintf "%d commits, %d indeterminate, %d fault fires, %d leaked locks"
        chaos.result.Bess_sched.Driver.r_commits chaos.result.Bess_sched.Driver.r_indeterminate
-       (snd chaos.obs) chaos.leaked);
+       (snd chaos.obs) chaos_leaked);
   Report.publish ~experiment:"e14" ~section:"e14_series"
     [ ("seed", Int seed); ("clients", Report.ints sweep_clients);
-      ("deterministic", Bool deterministic); ("chaos_leaked_locks", Int chaos.leaked) ]
+      ("deterministic", Bool deterministic); ("chaos_leaked_locks", Int chaos_leaked) ]
     ("series", Json.Obj (List.rev !series_sections))
 
 (* Tail-latency attribution: the e14 client sweep re-run with span
@@ -1351,9 +1370,7 @@ let e15 () =
      sink, and the SLO watcher on the point's windowed series (which
      carries per-window tails). *)
   let run_point n_clients =
-    closed_loop (sweep_cfg ~seed n_clients) ~observe:(fun _ ->
-        let coll = Bess_obs.Span.create () in
-        let cp = Bess_obs.Critpath.create ~top_k:8 () in
+    server_loop (sweep_cfg ~seed n_clients) ~observe:(fun _ ->
         let slo =
           Bess_obs.Slo.create
             ~rules:
@@ -1364,16 +1381,13 @@ let e15 () =
               ]
             ()
         in
-        Bess_obs.Span.install (Some coll);
-        Bess_obs.Critpath.install (Some cp);
+        let critpath = critpath_observer () in
         let series, restore = point_series () in
         Bess_obs.Slo.watch slo series;
         fun () ->
           restore ();
           Bess_obs.Slo.unwatch series;
-          Bess_obs.Critpath.install None;
-          Bess_obs.Span.install None;
-          (cp, slo))
+          (critpath (), slo))
   in
   let phase_names = List.map Bess_obs.Critpath.phase_name Bess_obs.Critpath.phases in
   let rows = ref [] in
@@ -1463,19 +1477,13 @@ let e15 () =
 (* ---- E17: sharded presumed-abort 2PC fleets ------------------------------ *)
 
 type e17_point = {
-  s_commits : int;
-  s_cross : int;
-  s_aborts : int;
-  s_give_ups : int;
-  s_indet : int;
-  s_tp : float;
+  s_run : Bess_shard.Shard.result; (* outcome counts, cross commits, fingerprint *)
   s_wall : float;
   s_msgs_per_commit : float;
   s_twopc_frac : float; (* 2pc prepare/decide share of critical-path time *)
   s_counters : (string * int) list; (* select 2pc.* counters *)
   s_leaked : int;
   s_in_doubt : int;
-  s_fp : string; (* Fleet fingerprint: outcome counts + image CRC *)
 }
 
 (* Closed-loop client fleets against a shard ring committing through
@@ -1496,36 +1504,23 @@ let e17 () =
   in
   let total_attempts = scale 8_000 in
   let seed = 1707 in
-  let run_point ?(fault_sites = []) ~seed ~n_shards n_clients =
-    let prev_series = Bess_obs.Series.installed () in
-    let sh = Bess_shard.Shard.create ~n:n_shards ~pages_per_shard:64 () in
-    (match fault_sites with
-    | [] -> ()
-    | sites ->
-        Fault.seed !fault_seed;
-        Fault.apply_profile sites);
-    let coll = Bess_obs.Span.create () in
-    let cp = Bess_obs.Critpath.create ~top_k:8 () in
-    Bess_obs.Span.install (Some coll);
-    Bess_obs.Critpath.install (Some cp);
+  let run_point ?fault_sites ~n_shards n_clients =
     let cfg =
-      { Bess_shard.Fleet.default with
+      { Bess_sched.Driver.default with
         n_clients;
         txns_per_client = Stdlib.max 1 (total_attempts / n_clients);
-        cross_fraction = 0.25;
         zipf_theta = 0.8;
         seed;
       }
     in
-    let wall0 = Unix.gettimeofday () in
-    let r = Bess_shard.Fleet.run sh cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    Bess_obs.Critpath.install None;
-    Bess_obs.Span.install None;
-    Bess_obs.Series.install prev_series;
-    (* Quiesce: disarm, re-drive unacked decisions, resolve survivors by
+    let p =
+      closed_loop ?fault_sites ~observe:(fun _ -> critpath_observer ())
+        (Bess_shard.Shard.create ~n:n_shards ~pages_per_shard:64 ())
+        (fun ~sched sh -> Bess_shard.Shard.run ~sched sh ~cross_fraction:0.25 cfg)
+    in
+    let sh = p.sys and r = p.result.Bess_shard.Shard.driver and cp = p.obs in
+    (* Quiesce: re-drive unacked decisions, resolve survivors by
        coordinator query — the same protocol a real restart runs. *)
-    (match fault_sites with [] -> () | _ -> Fault.reset ());
     ignore (Bess_shard.Twopc.redrive (Bess_shard.Shard.coord sh));
     ignore (Bess_shard.Shard.resolve_in_doubt sh);
     let st = Bess_shard.Twopc.stats (Bess_shard.Shard.coord sh) in
@@ -1533,18 +1528,13 @@ let e17 () =
     let totals = Bess_obs.Critpath.blame_totals cp in
     let twopc_ns = Option.value ~default:0 (List.assoc_opt "2pc" totals) in
     {
-      s_commits = r.Bess_shard.Fleet.f_commits;
-      s_cross = r.Bess_shard.Fleet.f_cross_commits;
-      s_aborts = r.Bess_shard.Fleet.f_aborts;
-      s_give_ups = r.Bess_shard.Fleet.f_give_ups;
-      s_indet = r.Bess_shard.Fleet.f_indeterminate;
-      s_tp = Bess_shard.Fleet.throughput r;
-      s_wall = wall;
+      s_run = p.result;
+      s_wall = p.wall;
       s_msgs_per_commit =
-        (if r.Bess_shard.Fleet.f_commits = 0 then 0.0
+        (if r.r_commits = 0 then 0.0
          else
            float_of_int (Bess_net.Net.messages (Bess_shard.Shard.net sh))
-           /. float_of_int r.Bess_shard.Fleet.f_commits);
+           /. float_of_int r.r_commits);
       s_twopc_frac =
         (if total = 0 then 0.0 else float_of_int twopc_ns /. float_of_int total);
       s_counters =
@@ -1557,19 +1547,20 @@ let e17 () =
           ];
       s_leaked = Bess_shard.Shard.locks_held sh;
       s_in_doubt = Bess_shard.Shard.in_doubt sh;
-      s_fp = r.Bess_shard.Fleet.f_fingerprint;
     }
   in
   let point_json p =
+    let { Bess_shard.Shard.driver = r; cross_commits; fingerprint } = p.s_run in
     Json.Obj
-      ([ ("commits", Json.Int p.s_commits); ("cross_commits", Int p.s_cross);
-         ("aborts", Int p.s_aborts); ("give_ups", Int p.s_give_ups);
-         ("indeterminate", Int p.s_indet); ("throughput", Json.fixed 1 p.s_tp);
+      ([ ("commits", Json.Int r.r_commits); ("cross_commits", Int cross_commits);
+         ("aborts", Int r.r_aborts); ("give_ups", Int r.r_give_ups);
+         ("indeterminate", Int r.r_indeterminate);
+         ("throughput", Json.fixed 1 (Bess_sched.Driver.throughput r));
          ("msgs_per_commit", Json.fixed 2 p.s_msgs_per_commit);
          ("twopc_blame_frac", Json.fixed 4 p.s_twopc_frac); ("leaked_locks", Int p.s_leaked);
          ("in_doubt", Int p.s_in_doubt) ]
       @ List.map (fun (k, v) -> (k, Json.Int v)) p.s_counters
-      @ [ ("fingerprint", Json.Str p.s_fp) ])
+      @ [ ("fingerprint", Json.Str fingerprint) ])
   in
   let rows = ref [] in
   let point_sections = ref [] in
@@ -1578,9 +1569,10 @@ let e17 () =
   let mid = List.nth sweep (List.length sweep / 2) in
   List.iter
     (fun (n_shards, n_clients) ->
-      let p = run_point ~seed ~n_shards n_clients in
-      if (n_shards, n_clients) = mid then fp_mid := p.s_fp;
-      if p.s_cross = 0 then cross_ok := false;
+      let p = run_point ~n_shards n_clients in
+      let { Bess_shard.Shard.driver = r; cross_commits; fingerprint } = p.s_run in
+      if (n_shards, n_clients) = mid then fp_mid := fingerprint;
+      if cross_commits = 0 then cross_ok := false;
       if p.s_leaked <> 0 || p.s_in_doubt <> 0 then clean_ok := false;
       point_sections :=
         (Printf.sprintf "shards_%d_clients_%d" n_shards n_clients, point_json p)
@@ -1589,11 +1581,11 @@ let e17 () =
         [
           Report.count n_shards;
           Report.count n_clients;
-          Report.count p.s_commits;
-          Report.count p.s_cross;
-          Report.count p.s_aborts;
-          Report.count p.s_give_ups;
-          Printf.sprintf "%.0f/s" p.s_tp;
+          Report.count r.r_commits;
+          Report.count cross_commits;
+          Report.count r.r_aborts;
+          Report.count r.r_give_ups;
+          Printf.sprintf "%.0f/s" (Bess_sched.Driver.throughput r);
           Printf.sprintf "%.1f" p.s_msgs_per_commit;
           Printf.sprintf "%.1f%%" (100. *. p.s_twopc_frac);
           Printf.sprintf "%.0f ms" (p.s_wall *. 1e3);
@@ -1616,30 +1608,33 @@ let e17 () =
     (if !cross_ok then "" else "a point never exercised 2PC");
   Report.gate "e17: zero leaked locks / zero in-doubt after quiesce at every point" !clean_ok
     "";
-  (* Same seed, fresh ring: the Fleet fingerprint (outcome counts + the
+  (* Same seed, fresh ring: the Shard.run fingerprint (outcome counts + the
      CRC of every shard's working set) must be byte-identical. *)
   let n_shards_mid, n_clients_mid = mid in
-  let again = run_point ~seed ~n_shards:n_shards_mid n_clients_mid in
-  let deterministic = String.equal !fp_mid again.s_fp in
+  let again = run_point ~n_shards:n_shards_mid n_clients_mid in
+  let fp2 = again.s_run.fingerprint in
+  let deterministic = String.equal !fp_mid fp2 in
   Report.gate
     (Printf.sprintf "e17: same-seed fingerprint determinism at %dx%d" n_shards_mid
        n_clients_mid)
     deterministic
-    (if deterministic then again.s_fp else !fp_mid ^ " vs " ^ again.s_fp);
+    (if deterministic then fp2 else !fp_mid ^ " vs " ^ fp2);
   (* Chaos under load: message faults plus coordinator and participant
      crash sites; commits may be lost, but after re-drive + query
      resolution nothing may stay locked or in doubt. *)
   let chaos =
     run_point
       ~fault_sites:(List.assoc "chaos-2pc" Fault.profiles)
-      ~seed ~n_shards:n_shards_mid n_clients_mid
+      ~n_shards:n_shards_mid n_clients_mid
   in
-  Report.note
-    "e17: chaos under load (chaos-2pc, seed %d): %d commits, %d indeterminate, %d \
-     redrives, %d leaked locks, %d in doubt"
-    !fault_seed chaos.s_commits chaos.s_indet
-    (Option.value ~default:0 (List.assoc_opt "2pc.redrives" chaos.s_counters))
-    chaos.s_leaked chaos.s_in_doubt;
+  Report.gate
+    (Printf.sprintf "e17: chaos under load (chaos-2pc, seed %d) quiesces clean" !fault_seed)
+    (chaos.s_leaked = 0 && chaos.s_in_doubt = 0)
+    (Printf.sprintf
+       "%d commits, %d indeterminate, %d redrives, %d leaked locks, %d in doubt"
+       chaos.s_run.driver.r_commits chaos.s_run.driver.r_indeterminate
+       (Option.value ~default:0 (List.assoc_opt "2pc.redrives" chaos.s_counters))
+       chaos.s_leaked chaos.s_in_doubt);
   Report.publish ~experiment:"e17" ~section:"e17"
     [ ("seed", Int seed); ("deterministic", Bool deterministic);
       ("cross_shard_everywhere", Bool !cross_ok); ("quiesced_clean", Bool !clean_ok);
@@ -1682,7 +1677,7 @@ let e18 () =
        before the instruments go in: both sketches and the measured hit
        rate see workload traffic only. *)
     let p =
-      closed_loop ~cache_slots ~db_id:9181 cfg ~observe:(fun server ->
+      server_loop ~cache_slots ~db_id:9181 cfg ~observe:(fun server ->
           let cache = Bess.Store.cache (Bess.Server.store server) in
           let cstats = Bess_cache.Cache.stats cache in
           let h0 = Stats.get cstats "cache.hits" and m0 = Stats.get cstats "cache.misses" in
@@ -1711,7 +1706,7 @@ let e18 () =
             (cstats, measured, x))
     in
     let cstats, measured, x = p.obs in
-    let store = Bess.Server.store p.server in
+    let store = Bess.Server.store p.sys in
     let logical = Stats.get (Bess.Store.stats store) "store.logical_bytes" in
     let durable =
       Stats.get (Bess_wal.Log.stats (Bess.Store.log store)) "log.forced_bytes"

@@ -948,7 +948,7 @@ let chaos_cmd =
 let shard_cmd =
   let module Fault = Bess_fault.Fault in
   let module Shard = Bess_shard.Shard in
-  let module Fleet = Bess_shard.Fleet in
+  let module Driver = Bess_sched.Driver in
   let module Twopc = Bess_shard.Twopc in
   let shards_arg =
     Arg.(value & opt int 2
@@ -991,15 +991,11 @@ let shard_cmd =
           Fault.apply_profile sites
         end;
         let cfg =
-          { Fleet.default with
-            n_clients;
-            txns_per_client = txns;
-            cross_fraction = cross;
-            zipf_theta = 0.8;
-            seed;
-          }
+          { Driver.default with n_clients; txns_per_client = txns; zipf_theta = 0.8; seed }
         in
-        let r = Fleet.run sh cfg in
+        let { Shard.driver = r; cross_commits; fingerprint } =
+          Shard.run sh ~cross_fraction:cross cfg
+        in
         let schedules =
           List.filter_map
             (fun (site, _) ->
@@ -1016,15 +1012,13 @@ let shard_cmd =
           n_shards n_clients txns cross seed profile;
         Printf.printf
           "  commits %d (cross-shard %d), aborts %d, give-ups %d, indeterminate %d\n"
-          r.Fleet.f_commits r.Fleet.f_cross_commits r.Fleet.f_aborts r.Fleet.f_give_ups
-          r.Fleet.f_indeterminate;
+          r.Driver.r_commits cross_commits r.r_aborts r.r_give_ups r.r_indeterminate;
         Printf.printf "  throughput %.0f commits/s simulated, %d events, %.1f msgs/commit\n"
-          (Fleet.throughput r) r.Fleet.f_events
-          (if r.Fleet.f_commits = 0 then 0.0
+          (Driver.throughput r) r.r_events
+          (if r.r_commits = 0 then 0.0
            else
-             float_of_int (Bess_net.Net.messages (Shard.net sh))
-             /. float_of_int r.Fleet.f_commits);
-        Printf.printf "  fingerprint %s\n" r.Fleet.f_fingerprint;
+             float_of_int (Bess_net.Net.messages (Shard.net sh)) /. float_of_int r.r_commits);
+        Printf.printf "  fingerprint %s\n" fingerprint;
         Printf.printf "2pc counters:\n";
         List.iter
           (fun (name, v) -> Printf.printf "  %-28s %d\n" name v)

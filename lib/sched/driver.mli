@@ -1,26 +1,28 @@
 (** Closed-loop multi-client workload driver on the {!Sched} event heap.
 
-    Each simulated client is a resumable state machine: think, begin a
-    transaction, X-lock a page chosen by a Zipf-skewed (plus hot-set)
-    picker, do modeled work, commit through the group-commit barrier,
-    await the durability acknowledgement, think again — the classic
-    closed-loop methodology, so offered load self-regulates with
-    latency. Blocked lock requests park on the lock manager's
-    wake-on-release handoff ([Bess.Server.lock_async]) and resume the
-    moment the lock is transferred to them in place; a
-    decorrelated-jitter guard timer survives per park solely for
-    [`Timeout]/[`Deadlock] recovery. Proven deadlocks and timeout
-    suspicions abort and consume the attempt; [sched.lock_parks],
-    [sched.lock_wakeups] and [sched.lock_retries] count the park/wake
-    traffic. Session churn disconnects clients (optionally while
-    holding locks — the server must abort their transactions and free
-    the lock table) and reconnects them after a delay.
+    One client loop ({!loop}) serves every workload: each simulated
+    client thinks, opens a [sched.txn] root span, runs one transaction
+    attempt through a per-attempt {e step}, and thinks again — the
+    classic closed-loop methodology, so offered load self-regulates
+    with latency. The loop owns the clients, the root span (closed with
+    its [outcome] and [sched_lag_ns]), the [sched.*] outcome counters
+    and the blocked-retry guard. {!run} is the single-server step; the
+    shard ring's is [Bess_shard.Shard.run].
+
+    The single-server step X-locks a page chosen by a Zipf-skewed (plus
+    hot-set) picker, does modeled work, commits through the
+    group-commit barrier and awaits the durability acknowledgement.
+    Blocked lock requests park on the wake-on-release handoff
+    ([Bess.Server.lock_async]); the guard timer survives per park
+    solely for [`Timeout]/[`Deadlock] recovery ([sched.lock_parks],
+    [sched.lock_wakeups], [sched.lock_retries]). Session churn
+    disconnects clients (optionally while holding locks — the server
+    must free the lock table) and reconnects them after a delay.
 
     All randomness comes from per-client splitmix64 streams split off
-    [seed] (guard jitter has its own per-client stream so timer noise
-    never perturbs the workload draws), and all interleaving from the
-    deterministic event heap, so the same config produces identical
-    event orders and counters. *)
+    [seed] (guard jitter has its own per-client stream), and all
+    interleaving from the deterministic event heap, so the same config
+    produces identical event orders and counters. *)
 
 type config = {
   n_clients : int;
@@ -59,9 +61,9 @@ type result = {
 (** Commits per simulated second. *)
 val throughput : result -> float
 
-(** Workload-shape helpers, shared with the multi-shard fleet so equal
-    seeds draw equal workloads whether a run is single-server or
-    sharded. [make_picker] returns a closure drawing working-set
+(** Workload-shape helpers, shared by every step so equal seeds draw
+    equal workloads whether a run is single-server or sharded.
+    [make_picker] returns a closure drawing working-set
     indices: a [hot_fraction] of picks land uniformly in the first
     [hot_pages] entries, the rest follow a Zipf([zipf_theta]) over all
     [n] ranks (uniform when the theta is 0). [exp_think] draws an
@@ -83,3 +85,36 @@ val exp_think : mean_ns:int -> Bess_util.Prng.t -> int
     request. A fresh {!Sched} is created unless [sched] is supplied. *)
 val run :
   ?sched:Sched.t -> Bess.Server.t -> pages:Bess_cache.Page_id.t array -> config -> result
+
+(** {1 Writing a step} *)
+
+(** One client's attempt in flight. The step runs inside its root span
+    and ends it with exactly one {!finish}, directly or through
+    {!blocked}. *)
+type attempt
+
+type outcome = [ `Commit | `Abort | `Give_up | `Indeterminate ]
+
+(** The attempting client's id (10000 + its index). *)
+val client_id : attempt -> int
+
+(** The client's workload stream. *)
+val prng : attempt -> Bess_util.Prng.t
+
+(** Count the outcome, close the root and think toward the client's
+    next attempt. *)
+val finish : attempt -> outcome -> unit
+
+(** The blocked-retry guard: past [max_lock_retries] retries, run
+    [give_up] and finish the attempt [`Give_up]; otherwise park
+    ([sched.lock_parks]) under a [client.backoff] child and, after the
+    jittered guard delay ([sched.lock_retries]), call the retry with
+    the new retry count, back inside the root. *)
+val blocked : attempt -> retries:int -> give_up:(unit -> unit) -> (int -> unit) -> unit
+
+(** [loop cfg step] drives [cfg.n_clients] clients, calling [step]
+    once per attempt, until every client has spent its budget.
+    [txn_work_ns], [ack_delay_ns], [churn] and [reconnect_ns] are the
+    single-server step's; the loop ignores them. A fresh {!Sched} is
+    created unless [sched] is supplied. *)
+val loop : ?sched:Sched.t -> config -> (attempt -> unit) -> result

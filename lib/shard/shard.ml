@@ -238,3 +238,61 @@ let images_crc t =
         t.pages.(i))
     t.dbs;
   Bess_util.Crc32.to_int !crc
+
+(* ---- The closed-loop step ---- *)
+
+type result = { driver : Bess_sched.Driver.result; cross_commits : int; fingerprint : string }
+
+(* Each attempt draws its shards and writes, runs one global
+   transaction inline inside the driver's root span -- one scheduler
+   event per attempt -- and reports the outcome. A blocked attempt
+   retries the SAME writes through the driver's guard, so a retry is a
+   delivery question, never a different transaction. *)
+let run ?sched t ~cross_fraction (cfg : Bess_sched.Driver.config) =
+  let module Driver = Bess_sched.Driver in
+  let module Prng = Bess_util.Prng in
+  let n = n_shards t in
+  let pick_rank =
+    Driver.make_picker ~zipf_theta:cfg.zipf_theta ~hot_fraction:cfg.hot_fraction
+      ~hot_pages:cfg.hot_pages ~n:(pages_per_shard t)
+  in
+  let cross_commits = ref 0 in
+  (* The primary shard, a second one with probability [cross_fraction],
+     and one fresh 8-byte value at offset 0 of a picked page on each.
+     Each write draws its value before its page rank: the order every
+     recorded fingerprint was drawn in. *)
+  let draw prng =
+    let primary = Prng.int prng n in
+    let shards =
+      if n > 1 && Prng.float prng < cross_fraction then
+        [ primary; (primary + 1 + Prng.int prng (n - 1)) mod n ]
+      else [ primary ]
+    in
+    List.map
+      (fun s ->
+        let value = Prng.bytes prng 8 in
+        (s, pick_rank prng, 0, value))
+      shards
+  in
+  let rec attempt a writes ~retries =
+    match txn t ~client:(Driver.client_id a) ~writes () with
+    | `Committed ->
+        if List.length writes > 1 then incr cross_commits;
+        Driver.finish a `Commit
+    | `Aborted -> Driver.finish a `Abort
+    | `Blocked -> Driver.blocked a ~retries ~give_up:ignore (fun retries -> attempt a writes ~retries)
+    | exception Twopc.Crashed ->
+        (* The coordinator died mid-commit with participants prepared.
+           Bring it back, let it re-drive what it decided, and resolve
+           the survivors by query so their locks don't starve the other
+           clients. The attempt's outcome is indeterminate. *)
+        ignore (Twopc.recover t.coord);
+        ignore (resolve_in_doubt t);
+        Driver.finish a `Indeterminate
+  in
+  let r = Driver.loop ?sched cfg (fun a -> attempt a (draw (Driver.prng a)) ~retries:0) in
+  { driver = r;
+    cross_commits = !cross_commits;
+    fingerprint =
+      Fmt.str "c%d/x%d/a%d/g%d/i%d|img:%08x" r.r_commits !cross_commits r.r_aborts r.r_give_ups
+        r.r_indeterminate (images_crc t) }

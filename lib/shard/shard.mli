@@ -91,3 +91,26 @@ val page_image : t -> int -> int -> Bytes.t
 (** CRC over every shard's working set in shard/rank order — the
     byte-for-byte replay witness. *)
 val images_crc : t -> int
+
+(** {1 Closed-loop clients} *)
+
+type result = {
+  driver : Bess_sched.Driver.result;
+  cross_commits : int;  (** commits that spanned two shards *)
+  fingerprint : string; (** outcome counts + {!images_crc}: the replay witness *)
+}
+
+(** [run t ~cross_fraction cfg] drives [cfg]'s clients against the
+    ring on {!Bess_sched.Driver.loop}. Each attempt draws a primary
+    shard, a second one with probability [cross_fraction], and one
+    fresh 8-byte value at offset 0 of a picked page on each, then runs
+    one {!txn} inside the attempt's root — one scheduler event per
+    attempt. A [`Blocked] attempt retries the same writes through the
+    driver's guard. An injected coordinator crash ({!Twopc.Crashed}) is
+    handled in-loop: {!Twopc.recover}, then {!resolve_in_doubt}, and
+    the attempt counts indeterminate. The page picker reads [cfg]'s
+    [zipf_theta]/[hot_fraction]/[hot_pages]; [txn_work_ns],
+    [ack_delay_ns], [churn] and [reconnect_ns] are unused. Equal seeds
+    replay byte-for-byte, [fingerprint] included. *)
+val run :
+  ?sched:Bess_sched.Sched.t -> t -> cross_fraction:float -> Bess_sched.Driver.config -> result

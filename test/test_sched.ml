@@ -1,5 +1,6 @@
 (* Bess_sched: the discrete-event heap (tick order, FIFO tie-breaking),
-   closed-loop driver determinism (same seed => identical counters),
+   closed-loop driver determinism (same seed => identical counters, on
+   one server and on the shard ring),
    Zipf generator sanity, and churn mid-transaction (a client that
    disconnects while holding locks must not leak the lock table). *)
 
@@ -124,12 +125,26 @@ let run_driver cfg =
   let r = Driver.run ~sched server ~pages cfg in
   (r, server, Stats.to_list (Sched.stats sched))
 
+(* The same clients against a fresh 3-shard ring, a third of the
+   attempts cross-shard (the shard step ignores churn). *)
+let run_shard cfg =
+  let sh = Bess_shard.Shard.create ~n:3 ~pages_per_shard:16 () in
+  Bess_shard.Shard.run sh ~cross_fraction:0.3 { cfg with n_clients = 12; txns_per_client = 10 }
+
 let test_same_seed_identical () =
   let r1, _, counters1 = run_driver driver_cfg in
   let r2, _, counters2 = run_driver driver_cfg in
   Alcotest.(check bool) "some commits happened" true (r1.Driver.r_commits > 0);
   Alcotest.(check bool) "identical results" true (r1 = r2);
-  Alcotest.(check (list (pair string int))) "identical sched counters" counters1 counters2
+  Alcotest.(check (list (pair string int))) "identical sched counters" counters1 counters2;
+  let s1 = run_shard driver_cfg and s2 = run_shard driver_cfg in
+  Alcotest.(check bool) "some shard commits happened" true
+    (s1.Bess_shard.Shard.driver.Driver.r_commits > 0);
+  Alcotest.(check bool) "some cross-shard commits happened" true
+    (s1.Bess_shard.Shard.cross_commits > 0);
+  Alcotest.(check string) "identical shard fingerprints" s1.Bess_shard.Shard.fingerprint
+    s2.Bess_shard.Shard.fingerprint;
+  Alcotest.(check bool) "identical shard results" true (s1 = s2)
 
 let test_different_seed_differs () =
   let r1, _, _ = run_driver driver_cfg in
@@ -137,7 +152,11 @@ let test_different_seed_differs () =
   (* Commit counts could coincide, so compare the whole result record;
      40 churning clients over a skewed working set make a collision
      across every counter and latency percentile implausible. *)
-  Alcotest.(check bool) "different seed diverges" true (r1 <> r2)
+  Alcotest.(check bool) "different seed diverges" true (r1 <> r2);
+  (* The shard fingerprint folds in the CRC of every written page. *)
+  let s1 = run_shard driver_cfg and s2 = run_shard { driver_cfg with seed = 100 } in
+  Alcotest.(check bool) "different seed diverges on the shard ring" true
+    (s1.Bess_shard.Shard.fingerprint <> s2.Bess_shard.Shard.fingerprint)
 
 (* ---- Zipf generator sanity ----------------------------------------------- *)
 

@@ -2,8 +2,9 @@
    host field, cross-shard commit/abort over the wire, the participant
    no-vote path (unilateral abort, satellite of ISSUE 9), in-doubt
    transactions keeping their X locks across restart, idempotent
-   duplicate decisions, and both coordinator-crash windows (undecided =>
-   presumed abort; decided => re-drive). *)
+   duplicate decisions, both coordinator-crash windows (undecided =>
+   presumed abort; decided => re-drive), and the closed-loop step's
+   blocked-retry path (retry-then-commit and give-up). *)
 
 module Fault = Bess_fault.Fault
 module Net = Bess_net.Net
@@ -14,6 +15,8 @@ module Remote = Bess.Remote
 module F = Bess.Fetcher
 module Shard = Bess_shard.Shard
 module Twopc = Bess_shard.Twopc
+module Sched = Bess_sched.Sched
+module Driver = Bess_sched.Driver
 
 let i64 v =
   let b = Bytes.create 8 in
@@ -258,6 +261,82 @@ let test_query_unknown_txn_is_abort () =
   | Remote.R_decision b -> Alcotest.(check bool) "absent decision means abort" false b
   | _ -> Alcotest.fail "protocol mismatch"
 
+(* ---- Closed-loop blocked retries ----------------------------------------- *)
+
+(* An outside transaction X-locks page [rank] of shard [shard] directly
+   on that shard's server; returns the holder's transaction. *)
+let hold sh ~shard ~rank =
+  let srv = Shard.server sh shard in
+  let tx = Bess.Server.begin_txn srv ~client:900_001 in
+  let pid = (Shard.pages sh shard).(rank) in
+  match
+    Bess.Server.lock srv ~txn:tx
+      (Lock_mgr.page_resource ~area:pid.Page_id.area ~page:pid.Page_id.page)
+      Lock_mode.X
+  with
+  | `Granted -> tx
+  | _ -> Alcotest.fail "outside holder could not lock"
+
+(* One client, one attempt, on a one-page ring. With the page held and
+   its release scheduled, the attempt blocks, parks on the driver's
+   guard, retries the same drawn writes once the lock is free, and
+   commits: the page ends up holding exactly what an uncontended run of
+   the same seed writes. *)
+let test_blocked_attempt_retries_same_writes () =
+  let cfg = { Driver.default with n_clients = 1; txns_per_client = 1; think_ns = 0; seed = 5 } in
+  let run ~contended =
+    fresh @@ fun () ->
+    let sh = Shard.create ~n:1 ~pages_per_shard:1 () in
+    let sched = Sched.create () in
+    if contended then begin
+      let holder = hold sh ~shard:0 ~rank:0 in
+      Sched.schedule sched ~after:1 (fun () ->
+          Bess.Server.abort_client (Shard.server sh 0) ~txn:holder)
+    end;
+    let r = Shard.run ~sched sh ~cross_fraction:0.0 cfg in
+    ( r.Shard.driver,
+      Bess_util.Stats.get (Sched.stats sched) "sched.lock_retries",
+      Bytes.sub (Shard.page_image sh 0 0) 0 8,
+      Shard.locks_held sh )
+  in
+  let free, free_retries, want, _ = run ~contended:false in
+  let r, retries, got, locks = run ~contended:true in
+  Alcotest.(check int) "uncontended run commits" 1 free.Driver.r_commits;
+  Alcotest.(check int) "uncontended run never retries" 0 free_retries;
+  Alcotest.(check bool) "blocked attempt retried" true (retries >= 1);
+  Alcotest.(check int) "then committed" 1 r.Driver.r_commits;
+  Alcotest.(check int) "no give-up" 0 r.Driver.r_give_ups;
+  Alcotest.(check bool) "a value was written" false (Bytes.equal want (Bytes.make 8 '\000'));
+  Alcotest.(check bool) "retry wrote the same value" true (Bytes.equal want got);
+  Alcotest.(check int) "no locks held" 0 locks
+
+(* The lock is never released: every attempt that draws the held page
+   parks [max_lock_retries] times and gives up, while the other
+   attempts commit around it; once the holder aborts nothing is left
+   locked. *)
+let test_blocked_attempt_gives_up () =
+  fresh @@ fun () ->
+  let sh = Shard.create ~n:2 ~pages_per_shard:4 () in
+  let holder = hold sh ~shard:0 ~rank:0 in
+  let sched = Sched.create () in
+  let max_lock_retries = 3 in
+  let cfg =
+    { Driver.default with n_clients = 4; txns_per_client = 5; think_ns = 10_000;
+      max_lock_retries; seed = 8 }
+  in
+  let r = (Shard.run ~sched sh ~cross_fraction:0.0 cfg).Shard.driver in
+  let st = Sched.stats sched in
+  Alcotest.(check bool) "some attempt gave up" true (r.Driver.r_give_ups >= 1);
+  Alcotest.(check bool) "the others still committed" true (r.Driver.r_commits >= 1);
+  Alcotest.(check int) "every attempt accounted for" 20
+    (r.Driver.r_commits + r.Driver.r_give_ups);
+  Alcotest.(check int) "each give-up spent the whole retry budget"
+    (max_lock_retries * r.Driver.r_give_ups)
+    (Bess_util.Stats.get st "sched.lock_retries");
+  Alcotest.(check int) "only the holder's lock remains" 1 (Shard.locks_held sh);
+  Bess.Server.abort_client (Shard.server sh 0) ~txn:holder;
+  Alcotest.(check int) "no locks after the holder aborts" 0 (Shard.locks_held sh)
+
 let suite =
   [
     Alcotest.test_case "oid host routing" `Quick test_routing;
@@ -275,4 +354,8 @@ let suite =
     Alcotest.test_case "coord crash decided re-drives" `Quick
       test_coordinator_crash_after_decision_redrives;
     Alcotest.test_case "query unknown txn answers abort" `Quick test_query_unknown_txn_is_abort;
+    Alcotest.test_case "blocked attempt retries the same writes" `Quick
+      test_blocked_attempt_retries_same_writes;
+    Alcotest.test_case "blocked attempt gives up, others commit" `Quick
+      test_blocked_attempt_gives_up;
   ]
